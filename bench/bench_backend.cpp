@@ -13,18 +13,28 @@
 //   * host RAM is marched faster than the simulator (word-width batching
 //     against a direct mapping vs virtual calls per access).
 //
-// Emits BENCH_backend.json with the gate verdicts and a sim-vs-hostram
-// throughput table (sustained read/write GB/s per configuration).
+// It then splits the 256 MiB host-RAM point into layers: the engine end
+// to end and per phase kind, against a plain fill loop and a plain
+// fill-then-verify loop over a separately mapped buffer of the same size
+// on the same number of threads (the memory-bandwidth ceiling).
+//
+// Emits BENCH_backend.json with the gate verdicts, a sim-vs-hostram
+// throughput table (sustained read/write GB/s per configuration) and the
+// layer table.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "backend/backend.h"
+#include "backend/hostram_backend.h"
 #include "backend/memtest.h"
 #include "bench_common.h"
+#include "common/thread_pool.h"
 #include "march/library.h"
 
 namespace {
@@ -46,6 +56,8 @@ backend::MemtestReport run(const march::MarchAlgorithm& alg,
   return backend::run_memtest(alg, opts);
 }
 
+constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
+
 /// Deterministic report minus the header line (which names the backend).
 std::string report_body(const backend::MemtestReport& report) {
   const auto text = backend::format_memtest_report(report);
@@ -56,7 +68,6 @@ std::string report_body(const backend::MemtestReport& report) {
 /// mixed phase's wall time splits between reads and writes in proportion
 /// to bytes moved.
 std::pair<double, double> sustained_gbps(const backend::MemtestReport& r) {
-  constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
   double rb_total = 0.0, wb_total = 0.0, rs = 0.0, ws = 0.0;
   for (const auto& p : r.phases) {
     if (p.is_pause) continue;
@@ -71,6 +82,80 @@ std::pair<double, double> sustained_gbps(const backend::MemtestReport& r) {
   }
   return {rs > 0.0 ? rb_total / kGiB / rs : 0.0,
           ws > 0.0 ? wb_total / kGiB / ws : 0.0};
+}
+
+/// GB/s over the engine's write-only, read-only and mixed phases.
+struct PhaseRates {
+  double write_only = 0.0;
+  double read_only = 0.0;
+  double mixed = 0.0;
+};
+
+PhaseRates phase_rates(const backend::MemtestReport& r) {
+  double bytes[3] = {0.0, 0.0, 0.0};
+  double secs[3] = {0.0, 0.0, 0.0};
+  for (const auto& p : r.phases) {
+    if (p.is_pause) continue;
+    const int kind = p.reads == 0 ? 0 : (p.writes == 0 ? 1 : 2);
+    bytes[kind] += static_cast<double>(p.reads + p.writes) *
+                   sizeof(backend::Word);
+    secs[kind] += p.seconds;
+  }
+  const auto rate = [&](int k) {
+    return secs[k] > 0.0 ? bytes[k] / kGiB / secs[k] : 0.0;
+  };
+  return {rate(0), rate(1), rate(2)};
+}
+
+/// The ceiling: a plain fill, and a plain fill followed by a verify,
+/// over a separately mapped buffer of `bytes`, split into `jobs` equal
+/// slices on the engine's worker pool.  Best of three after a first-touch
+/// fill, so page faults stay out of the figures.
+struct RawLoops {
+  double write_gbps = 0.0;
+  double rw_gbps = 0.0;  ///< fill + verify bytes over their summed time
+  bool verified = true;
+};
+
+RawLoops raw_loops(std::uint64_t bytes, int jobs) {
+  using Clock = std::chrono::steady_clock;
+  backend::HostRamBackend buffer{backend::memtest_geometry(bytes)};
+  const std::span<backend::Word> words = buffer.mapped_words();
+  const std::size_t slice = words.size() / static_cast<std::size_t>(jobs);
+  const auto fill = [&](backend::Word pattern) {
+    common::parallel_shards(jobs, jobs, [&](int t) {
+      const auto first = words.begin() + static_cast<std::ptrdiff_t>(
+                                             slice * static_cast<std::size_t>(t));
+      std::fill(first, first + static_cast<std::ptrdiff_t>(slice), pattern);
+    });
+  };
+  std::vector<char> slice_ok(static_cast<std::size_t>(jobs), 1);
+  const auto verify = [&](backend::Word pattern) {
+    common::parallel_shards(jobs, jobs, [&](int t) {
+      const backend::Word* w = words.data() + slice * static_cast<std::size_t>(t);
+      backend::Word diff = 0;
+      for (std::size_t i = 0; i < slice; ++i) diff |= w[i] ^ pattern;
+      slice_ok[static_cast<std::size_t>(t)] &= diff == 0 ? 1 : 0;
+    });
+  };
+  fill(0);
+  RawLoops out;
+  const double gib = static_cast<double>(slice * static_cast<std::size_t>(jobs) *
+                                         sizeof(backend::Word)) / kGiB;
+  for (int rep = 0; rep < 3; ++rep) {
+    const backend::Word pattern = 0x5555'5555'5555'5555ull << (rep & 1);
+    const auto a = Clock::now();
+    fill(pattern);
+    const auto b = Clock::now();
+    verify(pattern);
+    const auto c = Clock::now();
+    const double fill_s = std::chrono::duration<double>(b - a).count();
+    const double both_s = std::chrono::duration<double>(c - a).count();
+    out.write_gbps = std::max(out.write_gbps, gib / fill_s);
+    out.rw_gbps = std::max(out.rw_gbps, 2.0 * gib / both_s);
+  }
+  for (const char ok : slice_ok) out.verified = out.verified && ok != 0;
+  return out;
 }
 
 struct SweepPoint {
@@ -170,6 +255,33 @@ int main() {
   c.check(host_rd > sim_rd && host_wr > sim_wr,
           "host RAM is marched faster than the behavioral simulator");
 
+  // Layer table: the 256 MiB engine run against the raw loops, same size,
+  // same thread count, same run.  The engine maps a fresh buffer per run,
+  // so its write-only phase includes first-touch page faults; the raw
+  // loops are timed after a first-touch fill.
+  const int threads = common::resolve_jobs(0);
+  const RawLoops raw = raw_loops(host_point.buffer_bytes, threads);
+  const PhaseRates engine = phase_rates(host_point);
+  const double engine_gbps =
+      static_cast<double>(host_point.reads + host_point.writes) *
+      sizeof(backend::Word) / kGiB / host_point.wall_seconds;
+  const double ceiling_frac = raw.rw_gbps > 0.0 ? engine_gbps / raw.rw_gbps : 0.0;
+  const std::pair<const char*, double> layers[] = {
+      {"engine: March C end to end", engine_gbps},
+      {"engine: write-only phases", engine.write_only},
+      {"engine: read-only phases", engine.read_only},
+      {"engine: read+write phases", engine.mixed},
+      {"raw: fill loop", raw.write_gbps},
+      {"raw: fill + verify loop", raw.rw_gbps},
+  };
+  std::printf("  Layers, %llu MiB, %d threads:\n",
+              static_cast<unsigned long long>(host_point.buffer_bytes >> 20),
+              threads);
+  for (const auto& [name, gbps] : layers)
+    std::printf("    %-30s %8.2f GB/s\n", name, gbps);
+  std::printf("    %-30s %8.2f\n\n", "engine / fill + verify", ceiling_frac);
+  c.check(raw.verified, "the raw fill + verify loop reads back its pattern");
+
   if (std::FILE* out = std::fopen("BENCH_backend.json", "w")) {
     std::fprintf(out,
                  "{\n"
@@ -195,7 +307,18 @@ int main() {
                    p.read_gbps, p.write_gbps, p.wall_s,
                    i + 1 < sweep.size() ? "," : "");
     }
-    std::fprintf(out, "  ]\n}\n");
+    std::fprintf(out,
+                 "  ],\n"
+                 "  \"layers\": {\"size_mb\": %llu, \"threads\": %d, "
+                 "\"engine_gbps\": %.2f, \"engine_write_only_gbps\": %.2f, "
+                 "\"engine_read_only_gbps\": %.2f, "
+                 "\"engine_read_write_gbps\": %.2f, "
+                 "\"raw_write_gbps\": %.2f, \"raw_write_verify_gbps\": %.2f, "
+                 "\"ceiling_frac\": %.3f}\n"
+                 "}\n",
+                 static_cast<unsigned long long>(host_point.buffer_bytes >> 20),
+                 threads, engine_gbps, engine.write_only, engine.read_only,
+                 engine.mixed, raw.write_gbps, raw.rw_gbps, ceiling_frac);
     std::fclose(out);
     std::printf("wrote BENCH_backend.json\n\n");
   }

@@ -6,6 +6,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <span>
 
 #include "backend/hostram_backend.h"
 #include "backend/sim_backend.h"
@@ -50,6 +51,68 @@ struct ShardState {
 
   explicit ShardState(int misr_width) : misr{misr_width, 0} {}
 };
+
+/// Addresses per signature block of the direct-map kernel.
+constexpr std::size_t kBlockWords = 256;
+
+struct KernelOp {
+  Word value;  ///< written value, or expected value for reads
+  bool read;
+};
+
+/// One march element under one background, built once per run for the
+/// direct-map walk: background-applied op values plus the block fold of
+/// the element's expected reads (the same p reads at every address).
+struct ElementKernel {
+  std::vector<KernelOp> ops;
+  std::vector<std::size_t> read_ops;  ///< position in `ops` of each read
+  bist::PeriodicFold fold;
+};
+
+ElementKernel make_kernel(const march::MarchElement& el, Word bg, Word mask,
+                          int misr_width) {
+  std::vector<KernelOp> ops;
+  std::vector<std::size_t> read_ops;
+  std::vector<Word> reads;
+  for (const march::MarchOp& op : el.ops) {
+    const Word value = march::apply_background(op.data, bg, mask);
+    if (op.is_read()) {
+      read_ops.push_back(ops.size());
+      reads.push_back(value);
+    }
+    ops.push_back(KernelOp{value, op.is_read()});
+  }
+  return ElementKernel{std::move(ops), std::move(read_ops),
+                       bist::PeriodicFold{misr_width, std::move(reads),
+                                          kBlockWords}};
+}
+
+/// Applies `ops` to `count` consecutive cells starting at `first`,
+/// stepping by `Step`.  Writes are plain stores; a read that differs from
+/// its expected value is recorded in `hits` (index = read number within
+/// the block).  Returns the number of hits.
+template <int Step>
+std::size_t walk_block(Word* first, std::size_t count,
+                       std::span<const KernelOp> ops,
+                       bist::MisrDeviation* hits) {
+  std::size_t num_hits = 0;
+  std::uint32_t read_index = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    Word& cell = first[Step * static_cast<std::ptrdiff_t>(i)];
+    for (const KernelOp& op : ops) {
+      if (!op.read) {
+        cell = op.value;
+        continue;
+      }
+      const Word actual = cell;
+      if (actual != op.value) [[unlikely]] {
+        hits[num_hits++] = bist::MisrDeviation{read_index, actual};
+      }
+      ++read_index;
+    }
+  }
+  return num_hits;
+}
 
 }  // namespace
 
@@ -144,18 +207,34 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
     report.phases.push_back(std::move(phase));
   }
 
-  // Word-width batched fast path when the backend maps its storage
-  // directly; the behavioral path goes through the virtual interface so
-  // the simulator observes every access.  Both walk the same addresses in
-  // the same order and absorb the same values, so signatures agree.
+  // Hostram maps its storage directly and takes the block kernel; the
+  // simulator goes through the virtual interface so it observes every
+  // access.  Both walk the same addresses in the same order and fold the
+  // same values, so signatures, counts and failure logs agree.
   const std::span<Word> direct = backend->mapped_words();
+  const std::size_t num_elements = alg.elements().size();
+  std::vector<ElementKernel> kernels;
+  if (!direct.empty()) {
+    kernels.reserve(backgrounds.size() * num_elements);
+    for (const Word bg : backgrounds) {
+      for (const march::MarchElement& el : alg.elements()) {
+        kernels.push_back(make_kernel(el, bg, mask, options.misr_width));
+      }
+    }
+  }
 
-  const auto run_element_on_shard = [&](int shard,
-                                        const march::MarchElement& el,
-                                        Word bg) {
-    ShardState& st = states[static_cast<std::size_t>(shard)];
-    const std::size_t base =
-        static_cast<std::size_t>(shard) * words_per_shard;
+  const auto record_failure = [&](ShardState& st, std::uint64_t op_index,
+                                  Address addr, Word expected, Word actual) {
+    ++st.mismatches;
+    if (st.failures.size() < options.max_failures) {
+      st.failures.push_back(march::Failure{
+          op_index, march::MemOp::read(0, addr, expected), actual});
+    }
+  };
+
+  // Behavioral reference: one virtual access and one MISR clock per op.
+  const auto run_behavioral = [&](ShardState& st, std::size_t base,
+                                  const march::MarchElement& el, Word bg) {
     const bool descending = el.order == march::AddressOrder::Down;
     for (std::size_t i = 0; i < words_per_shard; ++i) {
       const auto addr = static_cast<Address>(
@@ -163,28 +242,54 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
       for (const march::MarchOp& op : el.ops) {
         const Word value = march::apply_background(op.data, bg, mask);
         if (op.kind == march::MarchOp::Kind::Write) {
-          if (!direct.empty()) {
-            direct[addr] = value;
-          } else {
-            backend->write(0, addr, value);
-          }
+          backend->write(0, addr, value);
           ++st.writes;
         } else {
-          const Word actual =
-              !direct.empty() ? direct[addr] : backend->read(0, addr);
+          const Word actual = backend->read(0, addr);
           st.misr.absorb(actual);
           ++st.reads;
           if (actual != value) {
-            ++st.mismatches;
-            if (st.failures.size() < options.max_failures) {
-              st.failures.push_back(march::Failure{
-                  st.op_index, march::MemOp::read(0, addr, value), actual});
-            }
+            record_failure(st, st.op_index, addr, value, actual);
           }
         }
         ++st.op_index;
       }
     }
+  };
+
+  // Direct-map kernel: walk a block of kBlockWords addresses with plain
+  // loads and stores, then advance the signature once per block (MISR
+  // linearity); only a block with a mismatch is folded read by read.
+  const auto run_direct = [&](ShardState& st, std::size_t base,
+                              const march::MarchElement& el,
+                              const ElementKernel& kernel) {
+    const bool descending = el.order == march::AddressOrder::Down;
+    const std::size_t per_address = kernel.read_ops.size();
+    const std::size_t num_ops = kernel.ops.size();
+    std::vector<bist::MisrDeviation> hits(per_address * kBlockWords);
+    for (std::size_t first = 0; first < words_per_shard;
+         first += kBlockWords) {
+      const std::size_t count = std::min(kBlockWords, words_per_shard - first);
+      const std::size_t num_hits =
+          descending
+              ? walk_block<-1>(&direct[base + words_per_shard - 1 - first],
+                               count, kernel.ops, hits.data())
+              : walk_block<1>(&direct[base + first], count, kernel.ops,
+                              hits.data());
+      for (std::size_t h = 0; h < num_hits; ++h) {
+        const std::size_t i = first + hits[h].index / per_address;
+        const std::size_t k = hits[h].index % per_address;
+        record_failure(
+            st, st.op_index + i * num_ops + kernel.read_ops[k],
+            static_cast<Address>(
+                base + (descending ? words_per_shard - 1 - i : i)),
+            kernel.fold.period()[k], hits[h].actual);
+      }
+      kernel.fold.fold(st.misr, count, {hits.data(), num_hits});
+    }
+    st.op_index += words_per_shard * num_ops;
+    st.reads += words_per_shard * per_address;
+    st.writes += words_per_shard * (num_ops - per_address);
   };
 
   // Injection flips a bit immediately before the first element whose
@@ -213,8 +318,9 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
   bool pending_inject = options.inject_error;
 
   for (int pass = 0; pass < options.passes && report.completed; ++pass) {
-    for (const Word bg : backgrounds) {
-      for (std::size_t e = 0; e < alg.elements().size(); ++e) {
+    for (std::size_t b = 0; b < backgrounds.size(); ++b) {
+      const Word bg = backgrounds[b];
+      for (std::size_t e = 0; e < num_elements; ++e) {
         if (options.cancel != nullptr &&
             options.cancel->load(std::memory_order_relaxed)) {
           report.completed = false;
@@ -242,7 +348,14 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
         }
         const auto phase_start = Clock::now();
         common::parallel_shards(options.jobs, shards, [&](int shard) {
-          run_element_on_shard(shard, el, bg);
+          ShardState& st = states[static_cast<std::size_t>(shard)];
+          const std::size_t base =
+              static_cast<std::size_t>(shard) * words_per_shard;
+          if (direct.empty()) {
+            run_behavioral(st, base, el, bg);
+          } else {
+            run_direct(st, base, el, kernels[b * num_elements + e]);
+          }
         });
         backend->fence();
         phase.seconds += seconds_since(phase_start);

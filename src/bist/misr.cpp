@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "march/expand.h"
 
@@ -48,6 +49,87 @@ void Misr::absorb(Word value) {
   if (feedback) state_ ^= poly_;
   state_ = (state_ ^ value) & mask_;
   ++count_;
+}
+
+void Misr::skip(const MisrSkip& jump, Word zero_fold) {
+  assert(jump.width() == width_);
+  state_ = (jump.apply(state_) ^ zero_fold) & mask_;
+  count_ += jump.steps();
+}
+
+namespace {
+
+/// Columns of M*N, both given as columns.
+std::array<Word, 64> compose(const std::array<Word, 64>& m,
+                             const std::array<Word, 64>& n, int width) {
+  std::array<Word, 64> out{};
+  for (int j = 0; j < width; ++j) {
+    for (int i = 0; i < width; ++i) {
+      out[j] ^= m[i] & (Word{0} - ((n[j] >> i) & 1));
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+MisrSkip::MisrSkip(int width, std::uint64_t steps)
+    : width_{width}, steps_{steps} {
+  (void)Misr::polynomial(width);  // validates the width
+  // power = A (one zero-input clock per basis vector), columns_ = I.
+  std::array<Word, 64> power{};
+  for (int j = 0; j < width; ++j) {
+    Misr one{width, Word{1} << j};
+    one.absorb(0);
+    power[j] = one.signature();
+    columns_[j] = Word{1} << j;
+  }
+  for (std::uint64_t n = steps; n != 0; n >>= 1) {
+    if (n & 1) columns_ = compose(power, columns_, width);
+    if (n > 1) power = compose(power, power, width);
+  }
+}
+
+Word MisrSkip::apply(Word state) const noexcept {
+  Word out = 0;
+  for (int j = 0; j < width_; ++j) {
+    out ^= columns_[j] & (Word{0} - ((state >> j) & 1));
+  }
+  return out;
+}
+
+PeriodicFold::PeriodicFold(int width, std::vector<Word> period,
+                           std::size_t block_repeats)
+    : period_{std::move(period)},
+      block_repeats_{block_repeats},
+      block_skip_{width, block_repeats * period_.size()} {
+  Misr zero{width, 0};
+  for (std::size_t r = 0; r < block_repeats_; ++r) {
+    for (const Word v : period_) zero.absorb(v);
+  }
+  block_fold_ = zero.signature();
+}
+
+void PeriodicFold::fold(Misr& misr, std::size_t repeats,
+                        std::span<const MisrDeviation> deviations) const {
+  if (repeats == block_repeats_ && deviations.empty()) {
+    misr.skip(block_skip_, block_fold_);
+    return;
+  }
+  auto next = deviations.begin();
+  std::uint32_t index = 0;
+  for (std::size_t r = 0; r < repeats; ++r) {
+    for (const Word expected : period_) {
+      if (next != deviations.end() && next->index == index) {
+        misr.absorb(next->actual);
+        ++next;
+      } else {
+        misr.absorb(expected);
+      }
+      ++index;
+    }
+  }
+  assert(next == deviations.end());
 }
 
 netlist::GateInventory Misr::area(int width) {

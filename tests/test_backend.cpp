@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -264,31 +265,37 @@ TEST(MemtestEquivalenceTest, EveryLibraryAlgorithmAgreesAcrossBackends) {
   }
 }
 
-TEST(MemtestEquivalenceTest, FuzzedAlgorithmsAgreeAcrossBackends) {
-  // A seeded corpus of generated algorithms: random element counts, op
-  // sequences, and address orders, constrained only by the structural rule
-  // (the first op of the first element is a write).
-  std::mt19937_64 rng{0xB157'CAFEu};
+/// A generated algorithm: random element counts, op sequences and address
+/// orders, constrained only by the structural rule (the first op of the
+/// first element is a write).
+march::MarchAlgorithm random_algorithm(std::mt19937_64& rng,
+                                       std::string name) {
   auto coin = [&](int denom) { return static_cast<int>(rng() % denom); };
-  for (int iteration = 0; iteration < 24; ++iteration) {
-    std::vector<march::MarchElement> elements;
-    const int num_elements = 1 + coin(5);
-    for (int e = 0; e < num_elements; ++e) {
-      march::MarchElement element;
-      element.order = static_cast<march::AddressOrder>(coin(3));
-      const int num_ops = 1 + coin(4);
-      for (int o = 0; o < num_ops; ++o) {
-        march::MarchOp op;
-        const bool must_write = e == 0 && o == 0;
-        op.kind = must_write || coin(2) == 0 ? march::MarchOp::Kind::Write
-                                             : march::MarchOp::Kind::Read;
-        op.data = coin(2) == 1;
-        element.ops.push_back(op);
-      }
-      elements.push_back(std::move(element));
+  std::vector<march::MarchElement> elements;
+  const int num_elements = 1 + coin(5);
+  for (int e = 0; e < num_elements; ++e) {
+    march::MarchElement element;
+    element.order = static_cast<march::AddressOrder>(coin(3));
+    const int num_ops = 1 + coin(4);
+    for (int o = 0; o < num_ops; ++o) {
+      march::MarchOp op;
+      const bool must_write = e == 0 && o == 0;
+      op.kind = must_write || coin(2) == 0 ? march::MarchOp::Kind::Write
+                                           : march::MarchOp::Kind::Read;
+      op.data = coin(2) == 1;
+      element.ops.push_back(op);
     }
-    march::MarchAlgorithm alg{"fuzz" + std::to_string(iteration),
-                              std::move(elements)};
+    elements.push_back(std::move(element));
+  }
+  return march::MarchAlgorithm{std::move(name), std::move(elements)};
+}
+
+TEST(MemtestEquivalenceTest, FuzzedAlgorithmsAgreeAcrossBackends) {
+  // A seeded corpus of generated algorithms.
+  std::mt19937_64 rng{0xB157'CAFEu};
+  for (int iteration = 0; iteration < 24; ++iteration) {
+    const auto alg =
+        random_algorithm(rng, "fuzz" + std::to_string(iteration));
     ASSERT_TRUE(alg.validate().empty()) << alg.to_string();
     SCOPED_TRACE(alg.to_string());
 
@@ -302,6 +309,89 @@ TEST(MemtestEquivalenceTest, FuzzedAlgorithmsAgreeAcrossBackends) {
     // but it must be the SAME fail on both backends.
     EXPECT_EQ(sim.mismatches, ram.mismatches);
     EXPECT_EQ(sim.passed(), ram.passed());
+  }
+}
+
+// --- memtest: block kernel vs behavioral reference --------------------
+
+/// Deterministic report minus the header line, which names the backend.
+std::string report_body(const backend::MemtestReport& report) {
+  const auto text = backend::format_memtest_report(report);
+  return text.substr(text.find('\n') + 1);
+}
+
+/// Runs `alg` on the simulator (the serial reference: one MISR clock per
+/// read) and through hostram's direct-map block kernel, and expects the
+/// same report body and the same failure log, op indices included.
+/// Returns the reference report.
+backend::MemtestReport expect_kernel_matches_sim(const march::MarchAlgorithm& alg,
+                               backend::MemtestOptions opts,
+                               std::initializer_list<int> jobs = {1}) {
+  opts.backend = BackendKind::Sim;
+  opts.jobs = 1;
+  const auto sim = backend::run_memtest(alg, opts);
+  opts.backend = BackendKind::HostRam;
+  for (const int j : jobs) {
+    opts.jobs = j;
+    const auto ram = backend::run_memtest(alg, opts);
+    EXPECT_EQ(report_body(ram), report_body(sim)) << "jobs=" << j;
+    EXPECT_EQ(ram.failures, sim.failures) << "jobs=" << j;
+    EXPECT_EQ(ram.mismatches, sim.mismatches) << "jobs=" << j;
+  }
+  return sim;
+}
+
+TEST(MemtestKernelTest, LibraryAlgorithmsMatchSimOnEveryBackground) {
+  // 512 B and 1 KiB leave the single shard shorter than one signature
+  // block (the tail path); 4 KiB is two full blocks; 64 KiB is two shards.
+  for (const auto& alg : march::all_algorithms()) {
+    SCOPED_TRACE(alg.name());
+    for (const std::uint64_t size : {512u, 1024u, 4096u, 64u << 10}) {
+      SCOPED_TRACE(size);
+      backend::MemtestOptions opts;
+      opts.size_bytes = size;
+      opts.backgrounds = 0;  // all 7 standard backgrounds
+      EXPECT_TRUE(expect_kernel_matches_sim(alg, opts).passed());
+      const bool read_led = std::any_of(
+          alg.elements().begin(), alg.elements().end(), [](const auto& el) {
+            return !el.is_pause && !el.ops.empty() && el.ops.front().is_read();
+          });
+      if (!read_led) continue;  // injection needs a read-led element
+      opts.inject_error = true;
+      EXPECT_FALSE(expect_kernel_matches_sim(alg, opts).passed());
+    }
+  }
+}
+
+TEST(MemtestKernelTest, MismatchingAlgorithmsMatchSimAcrossJobsAndCaps) {
+  // Reads of values never written mismatch at every address: every block
+  // takes the serial rescan, and the failure cap truncates the log.
+  std::vector<march::MarchAlgorithm> corpus{
+      march::parse("up(w0); up(r1)", "every-read-fails"),
+      march::parse("up(w0); down(r1,w1,r0); up(r1)", "mixed"),
+      march::parse("any(w1); up(r1,w0,r1,r0)", "one-of-two"),
+  };
+  std::mt19937_64 rng{0x6B1D'F00Du};
+  for (int iteration = 0; iteration < 12; ++iteration) {
+    corpus.push_back(
+        random_algorithm(rng, "fuzz" + std::to_string(iteration)));
+  }
+  for (const auto& alg : corpus) {
+    SCOPED_TRACE(alg.to_string());
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{5},
+                                  std::size_t{64}, std::size_t{1} << 20}) {
+      SCOPED_TRACE(cap);
+      for (const std::uint64_t size : {512u, 64u << 10}) {
+        backend::MemtestOptions opts;
+        opts.size_bytes = size;
+        opts.backgrounds = 3;
+        opts.max_failures = cap;
+        const auto sim = expect_kernel_matches_sim(alg, opts, {1, 2, 4});
+        if (alg.name() == "every-read-fails") {
+          EXPECT_EQ(sim.mismatches, sim.reads);
+        }
+      }
+    }
   }
 }
 

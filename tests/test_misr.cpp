@@ -1,10 +1,13 @@
-// MISR response-compaction tests: LFSR mechanics, golden-signature
-// prediction, verdict agreement with the deterministic comparator across a
-// fault zoo, and measured aliasing behavior.
+// MISR response-compaction tests: LFSR mechanics, GF(2) skip-ahead and
+// the block fold built on it, golden-signature prediction, verdict
+// agreement with the deterministic comparator across a fault zoo, and
+// measured aliasing behavior.
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <vector>
 
 #include "bist/misr.h"
 #include "march/library.h"
@@ -80,6 +83,94 @@ TEST(Misr, MaximalLengthForTabulatedWidth) {
     s = m.signature();
   }
   EXPECT_EQ(s, 1u);  // back to the seed after 2^8 - 1 steps
+}
+
+constexpr int kSkipWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 13, 16, 24, 32, 64};
+
+TEST(MisrSkip, EqualsSerialAbsorbs) {
+  // A^n*s ^ zero-state fold == n serial absorbs from s, for n across the
+  // squaring boundaries.
+  std::mt19937_64 rng{0x5EED'0001u};
+  for (const int w : kSkipWidths) {
+    for (const std::uint64_t n : {0ull, 1ull, 2ull, 3ull, 7ull, 64ull, 255ull,
+                                  256ull, 1000ull}) {
+      std::vector<memsim::Word> inputs(n);
+      for (auto& v : inputs) v = rng();
+      const memsim::Word seed = rng();
+      Misr serial{w, seed}, zero{w, 0};
+      for (const auto v : inputs) {
+        serial.absorb(v);
+        zero.absorb(v);
+      }
+      Misr skipped{w, seed};
+      skipped.skip(bist::MisrSkip{w, n}, zero.signature());
+      EXPECT_EQ(skipped.signature(), serial.signature()) << w << " " << n;
+      EXPECT_EQ(skipped.absorbed(), n);
+    }
+  }
+  EXPECT_THROW((bist::MisrSkip{0, 1}), std::invalid_argument);
+  EXPECT_THROW((bist::MisrSkip{65, 1}), std::invalid_argument);
+}
+
+TEST(MisrSkip, PeriodicBlockFoldEqualsSerialMisr) {
+  // Random periodic streams folded block by block must match a serial
+  // Misr absorbing every actual read, for each mismatch pattern the
+  // memtest kernel can produce — including every read wrong.
+  enum class Pattern { None, FirstOfBlock, LastOfBlock, Straddle, Every };
+  std::mt19937_64 rng{0x5EED'0002u};
+  for (const int w : kSkipWidths) {
+    for (std::size_t p = 1; p <= 6; ++p) {
+      for (const Pattern pattern :
+           {Pattern::None, Pattern::FirstOfBlock, Pattern::LastOfBlock,
+            Pattern::Straddle, Pattern::Every}) {
+        constexpr std::size_t kBlock = 16;  // periods per block
+        std::vector<memsim::Word> period(p);
+        for (auto& v : period) v = rng();
+        const bist::PeriodicFold fold{w, period, kBlock};
+        const std::size_t block_reads = kBlock * p;
+        // Three full blocks plus a short tail block.
+        const std::size_t total_repeats = 3 * kBlock + 5;
+        std::vector<memsim::Word> actual;
+        for (std::size_t r = 0; r < total_repeats; ++r)
+          actual.insert(actual.end(), period.begin(), period.end());
+        const auto flip = [&](std::size_t i) { actual[i] ^= rng() | 1; };
+        switch (pattern) {
+          case Pattern::None: break;
+          case Pattern::FirstOfBlock: flip(block_reads); break;
+          case Pattern::LastOfBlock: flip(2 * block_reads - 1); break;
+          case Pattern::Straddle:
+            flip(block_reads - 1);
+            flip(block_reads);
+            break;
+          case Pattern::Every:
+            for (std::size_t i = 0; i < actual.size(); ++i) flip(i);
+            break;
+        }
+
+        const memsim::Word seed = rng();
+        Misr serial{w, seed};
+        for (const auto v : actual) serial.absorb(v);
+
+        Misr blocked{w, seed};
+        for (std::size_t first = 0; first < total_repeats; first += kBlock) {
+          const std::size_t repeats =
+              std::min(kBlock, total_repeats - first);
+          std::vector<bist::MisrDeviation> deviations;
+          for (std::size_t i = 0; i < repeats * p; ++i) {
+            const memsim::Word v = actual[first * p + i];
+            if (v != period[i % p]) {
+              deviations.push_back({static_cast<std::uint32_t>(i), v});
+            }
+          }
+          fold.fold(blocked, repeats, deviations);
+        }
+        EXPECT_EQ(blocked.signature(), serial.signature())
+            << "width " << w << " period " << p << " pattern "
+            << static_cast<int>(pattern);
+        EXPECT_EQ(blocked.absorbed(), serial.absorbed());
+      }
+    }
+  }
 }
 
 TEST(Misr, GoldenSignatureMatchesFaultFreeRun) {
