@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 build + test sweep (warnings are errors), the
-# example programs, a lint sweep of every shipped input file, a
-# nondeterminism grep-gate over shipped sources, a schedule-certificate
-# sweep (every emitted soc/field schedule must re-certify; the seeded-bad
-# corpus in tests/lint_cases/ must be rejected), a serve
-# pipe-transport smoke against the committed golden responses, a
+# example programs, a lint sweep of every shipped input file,
+# nondeterminism and layering grep-gates over shipped sources, a
+# schedule-certificate sweep (every emitted soc/field schedule must
+# re-certify; the seeded-bad corpus in tests/lint_cases/ must be
+# rejected), a serve pipe-transport smoke against the committed golden
+# responses, a
 # ThreadSanitizer build that exercises the parallel engines (test_campaign +
 # test_soc + test_field + test_serve + test_backend — test_campaign covers
 # the packed kernel under threads, test_serve the session pool and shared
@@ -45,7 +46,7 @@ for f in examples/*.profile; do
   ./build/tools/pmbist lint "${f}" --chip examples/soc_demo.chip > /dev/null
 done
 
-echo "== nondeterminism gate: no unseeded RNG / wall clock in src/ tools/ =="
+echo "== grep gates: no unseeded RNG / wall clock in src/ tools/, layering =="
 # Every engine result must be a pure function of its inputs and explicit
 # seeds; these primitives are how nondeterminism sneaks in.  Seeded
 # std::mt19937 in tests/benches is fine — this gate covers shipped code.
@@ -59,6 +60,13 @@ fi
 # so key on indices or names there instead.
 if grep -rnE 'std::(map|set)<[^,>]*\*' src/lint; then
   echo "ci.sh: pointer-keyed ordered container in src/lint (iteration order follows allocation; key on indices or names)" >&2
+  exit 1
+fi
+
+# Layering: the simulator, march, bist, diagnosis and repair layers drive
+# memories through memsim::Memory only; backend/ sits above them.
+if grep -rn '#include "backend/' src/memsim src/march src/bist src/diag src/repair; then
+  echo "ci.sh: a core layer includes backend/ (drive memsim::Memory instead)" >&2
   exit 1
 fi
 

@@ -21,29 +21,21 @@ std::size_t round_up(std::size_t bytes, std::size_t unit) {
 }  // namespace
 
 HostRamBackend::HostRamBackend(MemoryGeometry geometry, HostRamOptions options)
-    : MemoryBackend{geometry}, options_{options} {
+    : Memory{geometry} {
   if (geometry.num_ports != 1) {
     throw BackendError{
         "hostram backend models a single port (got " +
         std::to_string(geometry.num_ports) +
         "); multi-port semantics need the sim backend"};
   }
-  open();
-}
-
-HostRamBackend::~HostRamBackend() { close(); }
-
-void HostRamBackend::open() {
-  if (words_ != nullptr) return;
-  const std::size_t bytes = geometry().num_words() * sizeof(Word);
+  const std::size_t bytes = geometry.num_words() * sizeof(Word);
 
   void* mapping = MAP_FAILED;
-  huge_pages_ = false;
   page_bytes_ = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   std::size_t mapped = round_up(bytes, page_bytes_);
 
 #ifdef MAP_HUGETLB
-  if (options_.request_huge_pages) {
+  if (options.request_huge_pages) {
     const std::size_t huge = round_up(bytes, kHugePageBytes);
     mapping = mmap(nullptr, huge, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
@@ -62,7 +54,7 @@ void HostRamBackend::open() {
                          " bytes failed: " + std::strerror(errno)};
     }
 #ifdef MADV_HUGEPAGE
-    if (options_.request_huge_pages) {
+    if (options.request_huge_pages) {
       // Best effort: let transparent huge pages coalesce the region.
       (void)madvise(mapping, mapped, MADV_HUGEPAGE);
     }
@@ -72,19 +64,7 @@ void HostRamBackend::open() {
   mapped_bytes_ = mapped;
 }
 
-void HostRamBackend::close() {
-  if (words_ == nullptr) return;
-  (void)munmap(words_, mapped_bytes_);
-  words_ = nullptr;
-  mapped_bytes_ = 0;
-}
-
-Capabilities HostRamBackend::capabilities() const {
-  return Capabilities{.behavioral = false,
-                      .direct_map = true,
-                      .huge_pages = huge_pages_,
-                      .page_bytes = page_bytes_};
-}
+HostRamBackend::~HostRamBackend() { (void)munmap(words_, mapped_bytes_); }
 
 Word HostRamBackend::read(int port, Address addr) {
   assert(port == 0 && addr < geometry().num_words());
@@ -108,11 +88,6 @@ void HostRamBackend::fence() {
 #else
   std::atomic_thread_fence(std::memory_order_seq_cst);
 #endif
-}
-
-std::span<Word> HostRamBackend::mapped_words() {
-  if (words_ == nullptr) return {};
-  return {words_, geometry().num_words()};
 }
 
 }  // namespace pmbist::backend

@@ -1,6 +1,11 @@
 #pragma once
 // HostRamBackend: march streams against real host memory.
 //
+// A memsim::Memory like the simulator, so every engine written against
+// that interface (sessions, stream runs, repair views) runs on host RAM
+// unchanged.  On top of it the backend exposes the mapping itself
+// (mapped_words(), fence()) for the memtest engine's direct-map kernel.
+//
 // The backing store is a large mmap'd anonymous buffer — one 64-bit host
 // word per memory cell, zero-filled by the kernel.  Reads mask to the
 // geometry's word width; writes store the masked value, so the backend
@@ -11,16 +16,18 @@
 // HostRamOptions::request_huge_pages is set the backend first tries
 // MAP_HUGETLB and, if the kernel refuses (no hugetlb pool configured),
 // falls back to a normal mapping plus madvise(MADV_HUGEPAGE) so
-// transparent huge pages can still coalesce it.  capabilities().huge_pages
-// reports what actually happened.
+// transparent huge pages can still coalesce it.  huge_pages() reports what
+// actually happened.
 //
 // fence() is a sequentially-consistent std::atomic_thread_fence — the
 // memtest engine issues one at every shard barrier so each march element's
 // stores are globally visible before the next element's loads.
 
 #include <cstddef>
+#include <span>
 
 #include "backend/backend.h"
+#include "memsim/memory.h"
 
 namespace pmbist::backend {
 
@@ -29,38 +36,34 @@ struct HostRamOptions {
   bool request_huge_pages = false;
 };
 
-class HostRamBackend final : public MemoryBackend {
+class HostRamBackend final : public memsim::Memory {
  public:
-  /// Maps geometry.num_words() host words.  Throws BackendError when the
-  /// geometry needs more than one port (host RAM has no port semantics to
-  /// model) or the mapping fails outright.
+  /// Maps geometry.num_words() host words; the destructor unmaps them.
+  /// Throws BackendError when the geometry needs more than one port (host
+  /// RAM has no port semantics to model) or the mapping fails outright.
   explicit HostRamBackend(MemoryGeometry geometry, HostRamOptions options = {});
   ~HostRamBackend() override;
 
-  [[nodiscard]] std::string_view name() const override { return "hostram"; }
-  [[nodiscard]] Capabilities capabilities() const override;
-
-  void open() override;
-  void close() override;
-  [[nodiscard]] bool is_open() const override { return words_ != nullptr; }
-
   [[nodiscard]] Word read(int port, Address addr) override;
   void write(int port, Address addr, Word data) override;
-  void fence() override;
-  void advance_time_ns(std::uint64_t ns) override { elapsed_ns_ += ns; }
 
-  [[nodiscard]] std::span<Word> mapped_words() override;
+  /// Orders all prior accesses before all later ones (seq-cst fence).
+  void fence();
 
-  /// Simulated-time accumulator (pause phases advance it; nothing decays).
-  [[nodiscard]] std::uint64_t elapsed_ns() const { return elapsed_ns_; }
+  /// The mapped storage, one host word per cell.
+  [[nodiscard]] std::span<Word> mapped_words() {
+    return {words_, geometry().num_words()};
+  }
+  /// Whether the mapping actually uses huge pages.
+  [[nodiscard]] bool huge_pages() const noexcept { return huge_pages_; }
+  /// Page size of the mapping.
+  [[nodiscard]] std::size_t page_bytes() const noexcept { return page_bytes_; }
 
  private:
-  HostRamOptions options_;
   Word* words_ = nullptr;
   std::size_t mapped_bytes_ = 0;
   bool huge_pages_ = false;
   std::size_t page_bytes_ = 0;
-  std::uint64_t elapsed_ns_ = 0;
 };
 
 }  // namespace pmbist::backend

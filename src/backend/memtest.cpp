@@ -9,9 +9,9 @@
 #include <span>
 
 #include "backend/hostram_backend.h"
-#include "backend/sim_backend.h"
 #include "bist/misr.h"
 #include "common/thread_pool.h"
+#include "march/coverage.h"
 #include "march/expand.h"
 
 namespace pmbist::backend {
@@ -23,31 +23,12 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::unique_ptr<MemoryBackend> make_backend(BackendKind kind,
-                                            const MemoryGeometry& geometry,
-                                            bool huge_pages) {
-  switch (kind) {
-    case BackendKind::Sim:
-      // Zero fill matches the kernel's zero-filled anonymous mapping, so
-      // the two backends see identical pre-test contents (and the first
-      // march element is required to be a write anyway).
-      return std::make_unique<SimBackend>(geometry, Word{0});
-    case BackendKind::HostRam:
-      return std::make_unique<HostRamBackend>(
-          geometry, HostRamOptions{.request_huge_pages = huge_pages});
-  }
-  throw BackendError{"unknown backend kind"};
-}
-
 /// Per-shard march state, persistent across elements/backgrounds/passes so
 /// op indices and the MISR fold the shard's whole access history.
 struct ShardState {
   bist::Misr misr;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t mismatches = 0;
+  march::RunResult run;
   std::uint64_t op_index = 0;  ///< index into the shard's own op stream
-  std::vector<march::Failure> failures;
 
   explicit ShardState(int misr_width) : misr{misr_width, 0} {}
 };
@@ -172,8 +153,23 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
   }
 
   const MemoryGeometry geometry = memtest_geometry(options.size_bytes);
-  const auto backend =
-      make_backend(options.backend, geometry, options.huge_pages);
+  // Hostram maps its storage directly and takes the block kernel; the
+  // simulator (zero-filled like the kernel's anonymous mapping, so both
+  // see identical pre-test contents) observes every access through the
+  // shared op step.  Both walk the same addresses in the same order and
+  // fold the same values, so signatures, counts and failure logs agree.
+  std::unique_ptr<memsim::SramModel> sim;
+  std::unique_ptr<HostRamBackend> hostram;
+  if (options.backend == BackendKind::Sim) {
+    sim = std::make_unique<memsim::SramModel>(geometry, Word{0}, true);
+  } else {
+    hostram = std::make_unique<HostRamBackend>(
+        geometry, HostRamOptions{.request_huge_pages = options.huge_pages});
+  }
+  memsim::Memory& memory =
+      sim ? static_cast<memsim::Memory&>(*sim) : *hostram;
+  const std::span<Word> direct =
+      hostram ? hostram->mapped_words() : std::span<Word>{};
 
   std::vector<Word> backgrounds = march::standard_backgrounds(64);
   if (options.backgrounds > 0 &&
@@ -192,13 +188,13 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
 
   MemtestReport report;
   report.algorithm = alg.name();
-  report.backend_name = std::string{backend->name()};
+  report.backend_name = std::string{to_string(options.backend)};
   report.geometry = geometry;
   report.buffer_bytes = geometry.num_words() * sizeof(Word);
   report.shards = shards;
   report.passes = options.passes;
   report.backgrounds = static_cast<int>(backgrounds.size());
-  report.huge_pages = backend->capabilities().huge_pages;
+  report.huge_pages = hostram && hostram->huge_pages();
   report.misr_width = options.misr_width;
   for (const march::MarchElement& el : alg.elements()) {
     MemtestPhase phase;
@@ -207,11 +203,6 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
     report.phases.push_back(std::move(phase));
   }
 
-  // Hostram maps its storage directly and takes the block kernel; the
-  // simulator goes through the virtual interface so it observes every
-  // access.  Both walk the same addresses in the same order and fold the
-  // same values, so signatures, counts and failure logs agree.
-  const std::span<Word> direct = backend->mapped_words();
   const std::size_t num_elements = alg.elements().size();
   std::vector<ElementKernel> kernels;
   if (!direct.empty()) {
@@ -225,9 +216,9 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
 
   const auto record_failure = [&](ShardState& st, std::uint64_t op_index,
                                   Address addr, Word expected, Word actual) {
-    ++st.mismatches;
-    if (st.failures.size() < options.max_failures) {
-      st.failures.push_back(march::Failure{
+    ++st.run.mismatches;
+    if (st.run.failures.size() < options.max_failures) {
+      st.run.failures.push_back(march::Failure{
           op_index, march::MemOp::read(0, addr, expected), actual});
     }
   };
@@ -241,18 +232,11 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
           base + (descending ? words_per_shard - 1 - i : i));
       for (const march::MarchOp& op : el.ops) {
         const Word value = march::apply_background(op.data, bg, mask);
-        if (op.kind == march::MarchOp::Kind::Write) {
-          backend->write(0, addr, value);
-          ++st.writes;
-        } else {
-          const Word actual = backend->read(0, addr);
-          st.misr.absorb(actual);
-          ++st.reads;
-          if (actual != value) {
-            record_failure(st, st.op_index, addr, value, actual);
-          }
-        }
-        ++st.op_index;
+        march::apply_op(memory,
+                        op.is_read() ? march::MemOp::read(0, addr, value)
+                                     : march::MemOp::write(0, addr, value),
+                        st.op_index++, st.run, options.max_failures,
+                        [&st](Word actual) { st.misr.absorb(actual); });
       }
     }
   };
@@ -288,8 +272,8 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
       kernel.fold.fold(st.misr, count, {hits.data(), num_hits});
     }
     st.op_index += words_per_shard * num_ops;
-    st.reads += words_per_shard * per_address;
-    st.writes += words_per_shard * (num_ops - per_address);
+    st.run.reads += words_per_shard * per_address;
+    st.run.writes += words_per_shard * (num_ops - per_address);
   };
 
   // Injection flips a bit immediately before the first element whose
@@ -329,7 +313,7 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
         const march::MarchElement& el = alg.elements()[e];
         MemtestPhase& phase = report.phases[e];
         if (el.is_pause) {
-          backend->advance_time_ns(el.pause_ns);
+          memory.advance_time_ns(el.pause_ns);
           ++report.pauses;
           continue;
         }
@@ -337,14 +321,7 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
           pending_inject = false;
           report.injected = true;
           const auto target = static_cast<Address>(words_per_shard / 2);
-          const Word current = !direct.empty() ? direct[target]
-                                               : backend->read(0, target);
-          const Word flipped = (current ^ Word{1}) & mask;
-          if (!direct.empty()) {
-            direct[target] = flipped;
-          } else {
-            backend->write(0, target, flipped);
-          }
+          memory.write(0, target, memory.read(0, target) ^ Word{1});
         }
         const auto phase_start = Clock::now();
         common::parallel_shards(options.jobs, shards, [&](int shard) {
@@ -357,7 +334,7 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
             run_direct(st, base, el, kernels[b * num_elements + e]);
           }
         });
-        backend->fence();
+        if (hostram) hostram->fence();
         phase.seconds += seconds_since(phase_start);
         std::uint64_t phase_reads = 0;
         std::uint64_t phase_writes = 0;
@@ -377,10 +354,10 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
   bist::Misr total{options.misr_width, 0};
   for (ShardState& st : states) {
     total.absorb(st.misr.signature());
-    report.reads += st.reads;
-    report.writes += st.writes;
-    report.mismatches += st.mismatches;
-    for (march::Failure& f : st.failures) {
+    report.reads += st.run.reads;
+    report.writes += st.run.writes;
+    report.mismatches += st.run.mismatches;
+    for (march::Failure& f : st.run.failures) {
       if (report.failures.size() < options.max_failures) {
         report.failures.push_back(std::move(f));
       }

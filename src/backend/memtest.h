@@ -1,9 +1,10 @@
 #pragma once
 // Host-RAM memtest engine: march algorithms against real memory.
 //
-// The engine expands a march algorithm over a large buffer exposed by a
-// MemoryBackend and reports per-phase sustained throughput plus a MISR
-// signature of every read response.  Semantics mirror the BIST controllers
+// The engine expands a march algorithm over a large buffer (a
+// HostRamBackend mapping, or a zero-filled simulator for the sim backend)
+// and reports per-phase sustained throughput plus a MISR signature of every
+// read response.  Semantics mirror the BIST controllers
 // with one deliberate deviation, chosen for parallel speed and
 // jobs-invariance:
 //

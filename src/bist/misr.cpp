@@ -156,43 +156,12 @@ MisrSessionResult run_session_misr(Controller& controller,
                                    memsim::Memory& memory, int misr_width,
                                    Word golden, Word seed,
                                    const SessionOptions& options) {
-  controller.reset();
+  Misr misr{misr_width, seed};
   MisrSessionResult result;
   result.golden = golden;
-  Misr misr{misr_width, seed};
-
-  std::size_t op_index = 0;
-  while (!controller.done()) {
-    if (result.session.cycles >= options.max_cycles) return result;
-    ++result.session.cycles;
-    const auto op = controller.step();
-    if (!op) continue;
-    switch (op->kind) {
-      case march::MemOp::Kind::Pause:
-        memory.advance_time_ns(op->pause_ns);
-        ++result.session.pauses;
-        break;
-      case march::MemOp::Kind::Write:
-        memory.write(op->port, op->addr, op->data);
-        ++result.session.writes;
-        break;
-      case march::MemOp::Kind::Read: {
-        const Word actual = memory.read(op->port, op->addr);
-        ++result.session.reads;
-        misr.absorb(actual);
-        if (actual != op->data) {
-          ++result.session.mismatches;
-          if (result.session.failures.size() < options.max_failures)
-            result.session.failures.push_back(
-                march::Failure{op_index, *op, actual});
-        }
-        break;
-      }
-    }
-    ++op_index;
-  }
-  result.session.state = SessionState::Completed;
-  result.signature = misr.signature();
+  result.session = run_session(controller, memory, options,
+                               [&misr](Word actual) { misr.absorb(actual); });
+  if (result.session.completed()) result.signature = misr.signature();
   return result;
 }
 

@@ -7,10 +7,6 @@
 #include "march/coverage.h"
 #include "memsim/memory.h"
 
-namespace pmbist::backend {
-class MemoryBackend;  // backend/backend.h
-}
-
 namespace pmbist::bist {
 
 /// How a BIST run ended.  A session that hits the cycle bound — or is
@@ -22,18 +18,11 @@ enum class SessionState : std::uint8_t {
   Completed,    ///< controller terminated within the cycle bound
 };
 
-/// Outcome of one BIST run.
-struct SessionResult {
+/// Outcome of one BIST run: the op counters and failure log of the shared
+/// op-application step (march::apply_op) plus the controller's cycles.
+struct SessionResult : march::RunResult {
   SessionState state = SessionState::Interrupted;
   std::uint64_t cycles = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t pauses = 0;
-  /// Every read mismatch, counted even after the failure log fills up.
-  std::uint64_t mismatches = 0;
-  /// Captured failures; capacity-bound by SessionOptions::max_failures, so
-  /// failures.size() <= mismatches.
-  std::vector<march::Failure> failures;
 
   [[nodiscard]] bool completed() const noexcept {
     return state == SessionState::Completed;
@@ -50,16 +39,31 @@ struct SessionOptions {
   std::size_t max_failures = 64;  ///< failure-log capacity (run continues)
 };
 
-/// Runs `controller` to completion against a pluggable memory backend —
-/// the canonical session loop (backend/backend.h).
-SessionResult run_session(Controller& controller,
-                          backend::MemoryBackend& memory,
-                          const SessionOptions& options = {});
-
-/// Runs `controller` to completion against a behavioral memory.  Wraps
-/// `memory` in a borrowing SimBackend, so the access sequence — and hence
-/// every result — is bit-identical to driving the simulator directly.
+/// Runs `controller` to completion against `memory`, handing every read's
+/// actual value to `observe` (see march::apply_op).
+template <typename Observer>
 SessionResult run_session(Controller& controller, memsim::Memory& memory,
-                          const SessionOptions& options = {});
+                          const SessionOptions& options, Observer&& observe) {
+  controller.reset();
+  SessionResult result;
+  std::size_t op_index = 0;
+  while (!controller.done()) {
+    if (result.cycles >= options.max_cycles) return result;  // incomplete
+    ++result.cycles;
+    if (const auto op = controller.step()) {
+      march::apply_op(memory, *op, op_index++, result, options.max_failures,
+                      observe);
+    }
+  }
+  result.state = SessionState::Completed;
+  return result;
+}
+
+/// Runs `controller` to completion against `memory` (comparator only).
+inline SessionResult run_session(Controller& controller,
+                                 memsim::Memory& memory,
+                                 const SessionOptions& options = {}) {
+  return run_session(controller, memory, options, march::IgnoreReads{});
+}
 
 }  // namespace pmbist::bist

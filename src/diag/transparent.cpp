@@ -66,8 +66,8 @@ TransparentResult run_transparent(const march::MarchAlgorithm& alg,
   auto run = march::run_stream(stream, memory, max_failures);
 
   TransparentResult result;
+  result.passed = run.passed();
   result.failures = std::move(run.failures);
-  result.passed = result.failures.empty();
 
   result.contents_preserved = true;
   for (memsim::Address a = 0; a < g.num_words(); ++a) {

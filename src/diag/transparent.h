@@ -26,6 +26,7 @@
 namespace pmbist::diag {
 
 struct TransparentResult {
+  /// No read mismatched (counted past the failure-log cap).
   bool passed = false;
   std::vector<march::Failure> failures;
   /// True if the memory contents after the test equal the contents before

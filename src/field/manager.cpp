@@ -8,7 +8,6 @@
 #include <numeric>
 #include <set>
 
-#include "backend/hostram_backend.h"
 #include "bist/misr.h"
 #include "common/cancel.h"
 #include "common/thread_pool.h"
@@ -97,44 +96,15 @@ void execute_participant(const Participant& p,
                          FieldInstanceResult& out) {
   const auto& inst = *p.instance;
   const auto& g = inst.geometry;
-  // Backing storage per the selected backend: the behavioral simulator
-  // (fault injection, pseudo-random power-up) or a hostram mapping through
-  // the BackendMemory adapter.  run() has already rejected hostram+faults.
-  std::unique_ptr<memsim::FaultyMemory> sim;
-  std::unique_ptr<backend::HostRamBackend> hostram;
-  std::unique_ptr<backend::BackendMemory> hostram_view;
-  if (options.backend == backend::BackendKind::Sim) {
-    sim = std::make_unique<memsim::FaultyMemory>(g, inst.powerup_seed);
-    try {
-      for (const auto& f : inst.faults) sim->add_fault(f);
-    } catch (const std::exception& e) {
-      throw soc::SocError{"instance '" + inst.name + "': " + e.what()};
-    }
-  } else {
-    try {
-      hostram = std::make_unique<backend::HostRamBackend>(g);
-    } catch (const backend::BackendError& e) {
-      throw soc::SocError{"instance '" + inst.name + "': " + e.what()};
-    }
-    // Transparent BIST preserves — and therefore observes — the memory's
-    // existing contents, so the power-up image is part of every pass
-    // signature.  Seed the mapping with the simulator's deterministic
-    // power-up pattern to keep reports backend-invariant.
-    memsim::SramModel image{g, inst.powerup_seed};
-    const auto words = hostram->mapped_words();
-    for (memsim::Address a = 0; a < g.num_words(); ++a)
-      words[a] = image.read(0, a);
-    hostram_view = std::make_unique<backend::BackendMemory>(*hostram);
-  }
-  memsim::Memory& base =
-      sim ? static_cast<memsim::Memory&>(*sim) : *hostram_view;
+  // run() has already rejected hostram+faults.
+  const auto base = soc::make_instance_memory(inst, options.backend);
   struct RepairState {
     memsim::ArrayTopology topology;
     repair::RepairSolution solution;
     std::unique_ptr<repair::RepairedMemory> view;
   };
   std::unique_ptr<RepairState> repaired;
-  memsim::Memory* view = &base;
+  memsim::Memory* view = base.get();
 
   for (const auto& pe : passes) {
     // Seed capture (the hardware's signature-prediction read pass), then
@@ -147,28 +117,16 @@ void execute_participant(const Participant& p,
     PassResult pr;
     pr.pass = pe.pass;
     pr.retest = pe.retest;
+    // Only the first pass logs failures: they drive the BISR allocation.
+    march::RunResult run;
     const std::size_t limit = std::min(pe.op_end, stream.size());
     for (std::size_t i = 0; i < limit; ++i) {
-      const auto& op = stream[i];
-      switch (op.kind) {
-        case march::MemOp::Kind::Pause:
-          view->advance_time_ns(op.pause_ns);
-          break;
-        case march::MemOp::Kind::Write:
-          view->write(op.port, op.addr, op.data);
-          break;
-        case march::MemOp::Kind::Read: {
-          const Word actual = view->read(op.port, op.addr);
-          misr.absorb(actual);
-          if (actual != op.data) {
-            ++pr.mismatches;
-            if (pe.pass == 0 && out.failures.size() < options.max_failures)
-              out.failures.push_back(march::Failure{i, op, actual});
-          }
-          break;
-        }
-      }
+      march::apply_op(*view, stream[i], i, run,
+                      pe.pass == 0 ? options.max_failures : 0,
+                      [&misr](Word actual) { misr.absorb(actual); });
     }
+    pr.mismatches = run.mismatches;
+    if (pe.pass == 0) out.failures = std::move(run.failures);
     if (pe.completed) {
       pr.state = bist::SessionState::Completed;
       pr.complete_cycle = pe.complete_cycle;
@@ -201,7 +159,7 @@ void execute_participant(const Participant& p,
         outcome.spare_cols_used =
             static_cast<int>(rs->solution.cols_replaced.size());
         rs->view = std::make_unique<repair::RepairedMemory>(
-            base, rs->topology, rs->solution);
+            *base, rs->topology, rs->solution);
         repaired = std::move(rs);
         view = repaired->view.get();
       }

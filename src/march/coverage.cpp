@@ -4,7 +4,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "backend/sim_backend.h"
 #include "march/campaign.h"
 #include "march/library.h"
 
@@ -47,36 +46,12 @@ constexpr std::uint64_t kDrfHoldNs = kDefaultPauseNs / 2;
 
 }  // namespace
 
-RunResult run_stream(std::span<const MemOp> stream,
-                     backend::MemoryBackend& memory,
-                     std::size_t max_failures) {
-  RunResult result;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const MemOp& op = stream[i];
-    switch (op.kind) {
-      case MemOp::Kind::Pause:
-        memory.advance_time_ns(op.pause_ns);
-        break;
-      case MemOp::Kind::Write:
-        memory.write(op.port, op.addr, op.data);
-        ++result.writes;
-        break;
-      case MemOp::Kind::Read: {
-        const Word actual = memory.read(op.port, op.addr);
-        ++result.reads;
-        if (actual != op.data && result.failures.size() < max_failures)
-          result.failures.push_back(Failure{i, op, actual});
-        break;
-      }
-    }
-  }
-  return result;
-}
-
 RunResult run_stream(std::span<const MemOp> stream, memsim::Memory& memory,
                      std::size_t max_failures) {
-  backend::SimBackend sim{memory};
-  return run_stream(stream, sim, max_failures);
+  RunResult result;
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    apply_op(memory, stream[i], i, result, max_failures);
+  return result;
 }
 
 std::vector<Fault> make_fault_universe(FaultClass cls,

@@ -21,10 +21,6 @@
 #include "march/kernel.h"
 #include "memsim/faulty_memory.h"
 
-namespace pmbist::backend {
-class MemoryBackend;  // backend/backend.h
-}
-
 namespace pmbist::march {
 
 class StreamCache;  // campaign.h
@@ -38,24 +34,60 @@ struct Failure {
   friend bool operator==(const Failure&, const Failure&) = default;
 };
 
-/// Result of applying an op stream to a memory.
+/// Counters of ops applied to a memory.
 struct RunResult {
+  /// Captured failures; capacity-bound by the caller's max_failures, so
+  /// failures.size() <= mismatches.
   std::vector<Failure> failures;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
+  std::uint64_t pauses = 0;
+  /// Every read mismatch, counted even after the failure log fills up.
+  std::uint64_t mismatches = 0;
 
-  [[nodiscard]] bool passed() const noexcept { return failures.empty(); }
+  [[nodiscard]] bool passed() const noexcept { return mismatches == 0; }
+
+  friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
-/// Applies a stream to a pluggable memory backend, recording up to
-/// `max_failures` mismatches (the run always completes; capping only
-/// bounds the log).  The canonical stream loop (backend/backend.h).
-RunResult run_stream(std::span<const MemOp> stream,
-                     backend::MemoryBackend& memory,
-                     std::size_t max_failures = 64);
+/// Read-response observer of a comparator-only run.
+struct IgnoreReads {
+  void operator()(Word) const noexcept {}
+};
 
-/// Applies a stream to a behavioral memory.  Wraps `memory` in a borrowing
-/// SimBackend; the access sequence is bit-identical to the direct path.
+/// The op-application step every engine shares: applies `op` to `memory`,
+/// counts it in `result`, hands a read's actual value to `observe` (a MISR
+/// absorb, or nothing), and logs a mismatch as op `op_index` while the
+/// failure log holds fewer than `max_failures` entries.
+template <typename Observer = IgnoreReads>
+void apply_op(memsim::Memory& memory, const MemOp& op, std::size_t op_index,
+              RunResult& result, std::size_t max_failures,
+              Observer&& observe = {}) {
+  switch (op.kind) {
+    case MemOp::Kind::Pause:
+      memory.advance_time_ns(op.pause_ns);
+      ++result.pauses;
+      break;
+    case MemOp::Kind::Write:
+      memory.write(op.port, op.addr, op.data);
+      ++result.writes;
+      break;
+    case MemOp::Kind::Read: {
+      const Word actual = memory.read(op.port, op.addr);
+      ++result.reads;
+      observe(actual);
+      if (actual != op.data) {
+        ++result.mismatches;
+        if (result.failures.size() < max_failures)
+          result.failures.push_back(Failure{op_index, op, actual});
+      }
+      break;
+    }
+  }
+}
+
+/// Applies a stream to a memory, recording up to `max_failures`
+/// mismatches (the run always completes; capping only bounds the log).
 RunResult run_stream(std::span<const MemOp> stream, memsim::Memory& memory,
                      std::size_t max_failures = 64);
 

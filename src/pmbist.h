@@ -9,11 +9,14 @@
 //   mbist_pfsm::PfsmController         the programmable FSM architecture
 //   mbist_hardwired::HardwiredController  the non-programmable baseline
 //   bist::run_session                  run any controller against a memory
+//   memsim::Memory / march::apply_op   the one memory interface and the
+//                                      one op-application step
 //   memsim::FaultyMemory               the memory under test + fault zoo
 //   march::analyze / evaluate_coverage qualification & fault simulation
 //   mbist_ucode::microcode_area etc.   silicon-overhead models (Tables 1-3)
 //   diag::* / repair::*                diagnostics, transparent test, BISR
-//   backend::run_memtest               march the host's own RAM (memtest)
+//   backend::run_memtest               march the host's own RAM (memtest);
+//                                      backend::HostRamBackend is a Memory
 
 #include "backend/backend.h"
 #include "backend/memtest.h"

@@ -177,6 +177,15 @@ class Scheduler {
                                             const TestPlan& plan,
                                             const SocResult& result);
 
+/// The memory an instance's sessions run against under `kind`: a
+/// FaultyMemory with the instance's faults and power-up seed, or a hostram
+/// mapping seeded with the same power-up image (transparent passes observe
+/// it, so reports stay backend-invariant).  Throws SocError naming the
+/// instance when a fault or the mapping is rejected.  Shared with the
+/// in-field manager (src/field).
+[[nodiscard]] std::unique_ptr<memsim::Memory> make_instance_memory(
+    const MemoryInstance& instance, backend::BackendKind kind);
+
 /// Constructs the controller a plan assignment runs on, loaded with `alg`,
 /// using the scheduler's shared storage sizing (microcode storage depth 64,
 /// pFSM buffer depth 32).  Writes the program-load cost into `load_cycles`

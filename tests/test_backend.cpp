@@ -1,9 +1,7 @@
-// The pluggable MemoryBackend subsystem (backend/): the interface and its
-// two implementations, the host-RAM memtest engine, and the contracts the
-// rest of the tree relies on —
+// The memory backends (backend/): the host-RAM memsim::Memory, the
+// host-RAM memtest engine, and the contracts the rest of the tree relies
+// on —
 //
-//   * SimBackend is a zero-cost adapter: driving a session through it is
-//     bit-identical to driving the behavioral simulator directly;
 //   * HostRamBackend maps real anonymous memory but honors the same
 //     geometry/masking semantics, so every library algorithm (and a fuzzed
 //     corpus of generated ones) produces identical memtest signatures and
@@ -27,7 +25,6 @@
 #include "backend/backend.h"
 #include "backend/hostram_backend.h"
 #include "backend/memtest.h"
-#include "backend/sim_backend.h"
 #include "bist/session.h"
 #include "field/manager.h"
 #include "field/profile.h"
@@ -106,10 +103,6 @@ TEST(HostRamBackendTest, ReadWriteRoundTripWithMasking) {
   const memsim::MemoryGeometry g{.address_bits = 10, .word_bits = 16,
                                  .num_ports = 1};
   backend::HostRamBackend ram{g};
-  EXPECT_TRUE(ram.is_open());
-  EXPECT_EQ(ram.name(), "hostram");
-  EXPECT_TRUE(ram.capabilities().direct_map);
-  EXPECT_FALSE(ram.capabilities().behavioral);
 
   ram.write(0, 5, 0xFFFF'FFFF'FFFF'FFFFull);
   EXPECT_EQ(ram.read(0, 5), 0xFFFFu);  // stored masked to word_bits
@@ -122,9 +115,6 @@ TEST(HostRamBackendTest, ReadWriteRoundTripWithMasking) {
   EXPECT_EQ(words[5], 0x1234u);
 
   ram.advance_time_ns(100);
-  ram.close();
-  EXPECT_FALSE(ram.is_open());
-  ram.close();  // idempotent
 }
 
 TEST(HostRamBackendTest, StartsZeroFilled) {
@@ -142,72 +132,28 @@ TEST(HostRamBackendTest, RejectsMultiPortGeometries) {
 
 TEST(HostRamBackendTest, HugePageRequestDegradesGracefully) {
   // The request must succeed whether or not the host grants huge pages;
-  // the capability descriptor reports what actually happened.
+  // huge_pages()/page_bytes() report what actually happened.
   const memsim::MemoryGeometry g{.address_bits = 16, .word_bits = 64,
                                  .num_ports = 1};
   backend::HostRamBackend ram{g, {.request_huge_pages = true}};
-  EXPECT_GT(ram.capabilities().page_bytes, 0u);
+  EXPECT_GT(ram.page_bytes(), 0u);
   ram.write(0, 0, 1);
   EXPECT_EQ(ram.read(0, 0), 1u);
 }
 
-// --- SimBackend and the BackendMemory adapter -------------------------
-
-TEST(SimBackendTest, BorrowingAdapterForwardsToTheSimulator) {
-  const memsim::MemoryGeometry g{.address_bits = 6, .word_bits = 8,
-                                 .num_ports = 1};
-  memsim::SramModel sram{g};
-  backend::SimBackend sim{sram};
-  EXPECT_EQ(sim.name(), "sim");
-  EXPECT_TRUE(sim.capabilities().behavioral);
-  EXPECT_TRUE(sim.mapped_words().empty());  // no direct map
-
-  sim.write(0, 3, 0xAB);
-  EXPECT_EQ(sim.read(0, 3), sram.read(0, 3));
-  sram.write(0, 4, 0xCD);
-  EXPECT_EQ(sim.read(0, 4), 0xCDu);
-}
+// --- the sim backend's memory -----------------------------------------
 
 TEST(SimBackendTest, OwningConstructorFillsTheModel) {
+  // Memtest's sim backend is a zero-filled SramModel, matching the
+  // kernel's zero-filled anonymous mapping.
   const memsim::MemoryGeometry g{.address_bits = 6, .word_bits = 64,
                                  .num_ports = 1};
-  backend::SimBackend sim{g, 0};
+  memsim::SramModel sim{g, 0, true};
   for (memsim::Address a = 0; a < g.num_words(); ++a)
     EXPECT_EQ(sim.read(0, a), 0u);
 }
 
-TEST(BackendMemoryTest, AdapterDrivesAnyBackendThroughTheMemsimInterface) {
-  const memsim::MemoryGeometry g{.address_bits = 8, .word_bits = 32,
-                                 .num_ports = 1};
-  backend::HostRamBackend ram{g};
-  backend::BackendMemory view{ram};
-  EXPECT_EQ(view.geometry(), g);
-  view.write(0, 7, 0xDEADBEEFull);
-  EXPECT_EQ(view.read(0, 7), 0xDEADBEEFull);
-  EXPECT_EQ(ram.read(0, 7), 0xDEADBEEFull);
-}
-
-// --- session parity (the byte-identity pin for the rewiring) ----------
-
-TEST(SessionParityTest, MemoryOverloadEqualsExplicitSimBackend) {
-  const memsim::MemoryGeometry g{.address_bits = 8, .word_bits = 1,
-                                 .num_ports = 1};
-  const auto alg = march::march_c();
-
-  memsim::SramModel direct{g, 7};
-  mbist_hardwired::HardwiredController c1{
-      alg, mbist_hardwired::HardwiredConfig{.geometry = g}};
-  const auto via_memory = bist::run_session(c1, direct);
-
-  memsim::SramModel wrapped{g, 7};
-  backend::SimBackend sim{wrapped};
-  mbist_hardwired::HardwiredController c2{
-      alg, mbist_hardwired::HardwiredConfig{.geometry = g}};
-  const auto via_backend = bist::run_session(c2, sim);
-
-  EXPECT_EQ(via_memory, via_backend);
-  EXPECT_TRUE(via_backend.passed());
-}
+// --- session parity ---------------------------------------------------
 
 TEST(SessionParityTest, HostRamSessionMatchesSimOnFaultFreeMemory) {
   // A full march starts by writing every cell, so the undefined power-up
@@ -217,8 +163,7 @@ TEST(SessionParityTest, HostRamSessionMatchesSimOnFaultFreeMemory) {
                                  .num_ports = 1};
   const auto alg = march::march_c();
 
-  memsim::SramModel sram{g, 42};
-  backend::SimBackend sim{sram};
+  memsim::SramModel sim{g, 42};
   mbist_hardwired::HardwiredController c1{
       alg, mbist_hardwired::HardwiredConfig{.geometry = g}};
   const auto on_sim = bist::run_session(c1, sim);

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "bist/datapath.h"
+#include "bist/misr.h"
 #include "bist/session.h"
 #include "march/library.h"
+#include "mbist_hardwired/controller.h"
 #include "mbist_ucode/controller.h"
 
 namespace {
@@ -191,6 +196,60 @@ TEST(Session, EmptyProgramIsImmediatelyDone) {
   const auto r = bist::run_session(ctrl, mem);
   EXPECT_TRUE(r.completed());
   EXPECT_EQ(r.reads + r.writes, 0u);
+}
+
+TEST(Session, StreamSessionAndMisrLoopsAgree) {
+  // The stream run, the controller session and the MISR session share one
+  // op-application step; pin them against each other (and the MISR
+  // signature against a serial fold of the read actuals) so they cannot
+  // drift apart.
+  const memsim::MemoryGeometry g{.address_bits = 4};
+  const std::vector<std::optional<memsim::Fault>> faults{
+      std::nullopt, memsim::StuckAtFault{{5, 0}, true},
+      memsim::IdempotentCouplingFault{{3, 0}, {9, 0}, true, false}};
+  const bist::SessionOptions options{.max_failures = 1u << 20};
+  for (const auto& alg : march::all_algorithms()) {
+    for (const auto& fault : faults) {
+      SCOPED_TRACE(alg.name() + " / " +
+                   (fault ? memsim::describe(*fault) : "fault-free"));
+      const auto make_memory = [&] {
+        auto mem = std::make_unique<memsim::FaultyMemory>(g, 7);
+        if (fault) mem->add_fault(*fault);
+        return mem;
+      };
+      const auto stream = march::expand(alg, g);
+      mbist_hardwired::HardwiredController hw{alg, {.geometry = g}};
+
+      const auto run =
+          march::run_stream(stream, *make_memory(), options.max_failures);
+      const auto session = bist::run_session(hw, *make_memory(), options);
+      ASSERT_TRUE(session.completed());
+      EXPECT_EQ(session.failures, run.failures);
+      EXPECT_EQ(session.reads, run.reads);
+      EXPECT_EQ(session.writes, run.writes);
+      EXPECT_EQ(session.pauses, run.pauses);
+      EXPECT_EQ(session.mismatches, run.mismatches);
+      EXPECT_EQ(run.mismatches, run.failures.size());
+      EXPECT_EQ(run.passed(), run.failures.empty());  // log is uncapped
+
+      const auto misr =
+          bist::run_session_misr(hw, *make_memory(), 16, 0, 0, options);
+      EXPECT_EQ(misr.session, session);
+
+      const auto serial_memory = make_memory();
+      bist::Misr serial{16, 0};
+      for (const auto& op : stream) {
+        if (op.kind == march::MemOp::Kind::Write) {
+          serial_memory->write(op.port, op.addr, op.data);
+        } else if (op.kind == march::MemOp::Kind::Read) {
+          serial.absorb(serial_memory->read(op.port, op.addr));
+        } else {
+          serial_memory->advance_time_ns(op.pause_ns);
+        }
+      }
+      EXPECT_EQ(misr.signature, serial.signature());
+    }
+  }
 }
 
 }  // namespace

@@ -262,4 +262,14 @@ TEST(RunStream, CountsAndFailureCap) {
   EXPECT_EQ(r.reads + r.writes, stream.size());
 }
 
+TEST(RunStream, ZeroCapacityFailureLogStillFails) {
+  // passed() reads the mismatch count, not the (capped) failure log.
+  memsim::FaultyMemory mem{kGeom, 1};
+  mem.add_fault(memsim::StuckAtFault{{3, 0}, true});
+  const auto stream = march::expand(march::march_c(), kGeom);
+  const auto r = march::run_stream(stream, mem, /*max_failures=*/0);
+  EXPECT_TRUE(r.failures.empty());
+  EXPECT_FALSE(r.passed());  // an empty log is not a clean run
+}
+
 }  // namespace

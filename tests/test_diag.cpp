@@ -141,6 +141,15 @@ TEST(Transparent, StillDetectsFaults) {
   EXPECT_EQ(r.failures.front().op.addr, 5u);
 }
 
+TEST(Transparent, ZeroCapacityFailureLogStillFails) {
+  memsim::FaultyMemory mem{kGeom, 9};
+  mem.add_fault(memsim::StuckAtFault{{5, 1}, true});
+  const auto r =
+      diag::run_transparent(march::march_c(), mem, /*max_failures=*/0);
+  EXPECT_TRUE(r.failures.empty());
+  EXPECT_FALSE(r.passed);  // an empty log is not a clean run
+}
+
 TEST(Transparent, StreamXorsSeed) {
   const MemoryGeometry g{.address_bits = 1, .word_bits = 2};
   const std::vector<memsim::Word> seed{0b01, 0b10};

@@ -626,12 +626,12 @@ TEST(DocExamples, KernelCheckExamplesAgreeAcrossKernels) {
 }
 
 TEST(DocExamples, BackendDocExists) {
-  // BACKEND.md documents the pluggable backend; pin the cross references
+  // BACKEND.md documents the memory backends; pin the cross references
   // so a rename breaks loudly.
   const auto doc = read_file(std::string{PMBIST_SOURCE_DIR} +
                              "/docs/BACKEND.md");
-  EXPECT_NE(doc.find("MemoryBackend"), std::string::npos);
-  EXPECT_NE(doc.find("SimBackend"), std::string::npos);
+  EXPECT_NE(doc.find("memsim::Memory"), std::string::npos);
+  EXPECT_NE(doc.find("march::apply_op"), std::string::npos);
   EXPECT_NE(doc.find("HostRamBackend"), std::string::npos);
   EXPECT_NE(doc.find("--backend sim|hostram"), std::string::npos);
   EXPECT_NE(doc.find("pmbist memtest"), std::string::npos);
