@@ -73,14 +73,8 @@ TEST(Analysis, TableFormat) {
 
 // The cross-validation sweep: static verdicts vs the sampled campaign for
 // every (library algorithm, fault class) pair.
-struct CrossCase {
-  const char* alg;
-};
-
-class AnalysisCrossValidation : public ::testing::TestWithParam<CrossCase> {};
-
-TEST_P(AnalysisCrossValidation, VerdictsMatchFaultSimulation) {
-  const auto alg = march::by_name(GetParam().alg);
+void expect_verdicts_match_fault_simulation(const char* name) {
+  const auto alg = march::by_name(name);
   const memsim::MemoryGeometry geom{.address_bits = 5, .word_bits = 1,
                                     .num_ports = 1};
   const march::CoverageOptions opts{.seed = 77,
@@ -108,17 +102,46 @@ TEST_P(AnalysisCrossValidation, VerdictsMatchFaultSimulation) {
   }
 }
 
+// The parameter holds a const char*, which gtest prints as the string's
+// run-time address, and ctest appends that print to each case name: the
+// tail of every parameterised name changes from build to build (ASLR), and
+// its head depends on where the strings sit in this file's string table.
+// MATS, whose name is the shortest, so that even its head reached the
+// random part, is checked in a plain test with a fixed name.
+struct CrossCase {
+  const char* alg;
+};
+
+// Every library algorithm of the sweep, MATS first. Keeping MATS at the
+// head of this list keeps the string table, and so the names of the
+// parameterised cases, as they were when MATS was one of them.
+std::vector<CrossCase> library_sweep() {
+  return {{"MATS"},     {"MATS+"},    {"MATS++"},    {"March X"},
+          {"March Y"},  {"March C"},  {"March C (orig)"}, {"March U"},
+          {"March LR"}, {"March C+"}, {"March C++"}, {"March A"},
+          {"March B"},  {"March A+"}, {"March A++"}, {"March SS"},
+          {"March G"}};
+}
+
+std::vector<CrossCase> sweep_without_mats() {
+  std::vector<CrossCase> cases = library_sweep();
+  cases.erase(cases.begin());
+  return cases;
+}
+
+TEST(AnalysisCrossValidationMats, VerdictsMatchFaultSimulation) {
+  expect_verdicts_match_fault_simulation(library_sweep().front().alg);
+}
+
+class AnalysisCrossValidation : public ::testing::TestWithParam<CrossCase> {};
+
+TEST_P(AnalysisCrossValidation, VerdictsMatchFaultSimulation) {
+  expect_verdicts_match_fault_simulation(GetParam().alg);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Library, AnalysisCrossValidation,
-    ::testing::Values(CrossCase{"MATS"}, CrossCase{"MATS+"},
-                      CrossCase{"MATS++"}, CrossCase{"March X"},
-                      CrossCase{"March Y"}, CrossCase{"March C"},
-                      CrossCase{"March C (orig)"}, CrossCase{"March U"},
-                      CrossCase{"March LR"}, CrossCase{"March C+"},
-                      CrossCase{"March C++"}, CrossCase{"March A"},
-                      CrossCase{"March B"}, CrossCase{"March A+"},
-                      CrossCase{"March A++"}, CrossCase{"March SS"},
-                      CrossCase{"March G"}),
+    ::testing::ValuesIn(sweep_without_mats()),
     [](const auto& info) {
       std::string name = info.param.alg;
       for (char& c : name)
