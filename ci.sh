@@ -11,9 +11,10 @@
 # the packed kernel under threads, test_serve the session pool and shared
 # caches, test_backend the sharded memtest engine) for
 # data races, an Address+UndefinedBehaviorSanitizer build of
-# the linter, controller, fuzz, campaign, and backend suites (the
+# the linter, controller, fuzz, campaign, backend and serve suites (the
 # scalar/packed equivalence sweep under ASan pins the packed kernel's lane
-# bookkeeping; test_backend pins the mmap'd hostram path),
+# bookkeeping; test_backend pins the mmap'd hostram path; test_serve fuzzes
+# the request parser),
 # and (when clang-tidy is installed) a
 # static-analysis pass over the lint subsystem.  Mirrors
 # .github/workflows/ci.yml so the pipeline can be reproduced locally with a
@@ -130,19 +131,20 @@ cmake --build build-tsan -j "${JOBS}" --target test_campaign --target test_soc \
 ./build-tsan/tests/test_serve
 ./build-tsan/tests/test_backend
 
-echo "== asan+ubsan: linter, controllers, fuzz, packed-kernel equivalence =="
+echo "== asan+ubsan: linter, controllers, fuzz, packed-kernel equivalence, serve =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMBIST_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "${JOBS}" \
   --target test_lint --target test_fuzz --target test_ucode --target test_pfsm \
-  --target test_campaign --target test_backend
+  --target test_campaign --target test_backend --target test_serve
 ./build-asan/tests/test_lint
 ./build-asan/tests/test_fuzz
 ./build-asan/tests/test_ucode
 ./build-asan/tests/test_pfsm
 ./build-asan/tests/test_campaign
 ./build-asan/tests/test_backend
+./build-asan/tests/test_serve
 
 if command -v clang-tidy > /dev/null; then
   echo "== clang-tidy: src/ tools/ tests/ =="

@@ -68,6 +68,12 @@ std::string_view fault_class_name(FaultClass c) {
   return "?";
 }
 
+std::optional<FaultClass> fault_class_by_name(std::string_view name) {
+  for (const auto cls : all_fault_classes())
+    if (fault_class_name(cls) == name) return cls;
+  return std::nullopt;
+}
+
 const std::vector<FaultClass>& all_fault_classes() {
   static const std::vector<FaultClass> kAll{
       FaultClass::SAF, FaultClass::TF,   FaultClass::CFin, FaultClass::CFid,

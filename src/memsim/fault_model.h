@@ -37,7 +37,9 @@
 //         pause lets the cell recover.
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -194,6 +196,10 @@ enum class FaultClass : std::uint8_t {
 
 [[nodiscard]] FaultClass fault_class(const Fault& f);
 [[nodiscard]] std::string_view fault_class_name(FaultClass c);
+/// Inverse of fault_class_name over all_fault_classes(); nullopt for any
+/// other text.
+[[nodiscard]] std::optional<FaultClass> fault_class_by_name(
+    std::string_view name);
 [[nodiscard]] std::string describe(const Fault& f);
 
 /// All fault classes, in display order.

@@ -30,8 +30,8 @@ class VerdictCache {
   VerdictCache& operator=(const VerdictCache&) = delete;
 
   struct Verdict {
-    std::string payload;  ///< complete CLI-identical stdout
     int exit_code = 0;
+    std::string payload;  ///< complete CLI-identical stdout
   };
 
   /// Cache lookup; refreshes the entry's LRU position.  Counts a hit or a

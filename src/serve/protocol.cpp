@@ -1,8 +1,8 @@
 #include "serve/protocol.h"
 
-#include <limits>
-#include <set>
+#include <algorithm>
 
+#include "backend/memtest.h"
 #include "common/json.h"
 
 namespace pmbist::serve {
@@ -10,161 +10,267 @@ namespace {
 
 namespace json = common::json;
 
+template <class... F>
+struct Overload : F... {
+  using F::operator()...;
+};
+
 [[noreturn]] void fail(const std::string& what) { throw ProtocolError(what); }
 
-/// Whitelists the fields a request kind accepts; unknown fields are hard
-/// errors so client typos ("algorithim") cannot silently select defaults.
-void check_fields(const json::Value& obj,
-                  const std::set<std::string, std::less<>>& allowed) {
-  for (const auto& [key, value] : obj.members()) {
-    (void)value;
-    if (key == "id" || key == "kind") continue;
-    if (!allowed.contains(key)) fail("unknown field '" + key + "'");
-  }
-}
+// ---------------------------------------------------------------------------
+// The tables.  Rows shared by several kinds are spelled once.
 
-std::string field_string(const json::Value& obj, std::string_view key) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) return {};
-  if (!v->is_string()) fail("field '" + std::string(key) + "' must be a string");
-  return v->as_string();
-}
+using G = memsim::MemoryGeometry;
+using R = Request;
+using C = CliValues;
 
-std::string require_string(const json::Value& obj, std::string_view key) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr || !v->is_string() || v->as_string().empty())
-    fail("field '" + std::string(key) + "' (non-empty string) is required");
-  return v->as_string();
-}
+constexpr Row kJobs{.name = "jobs", .flag = "--jobs", .slot = of_req<&R::jobs>,
+                    .def = "0", .max = 1024,
+                    .help = "worker threads, 0 = all cores"};
+constexpr Row kMaxFailures{
+    .name = "max_failures", .flag = "--max-failures",
+    .slot = of_req<&R::max_failures>, .def = "1024", .max = 1 << 24,
+    .help = "failure-log capacity per session"};
+constexpr Row kChip{.name = "chip", .flag = "--chip", .slot = of_req<&R::chip>,
+                    .form = Form::File, .required = true, .meta = "FILE",
+                    .help = "chip description (CLI default: a demo chip)"};
+constexpr Row kCertifySchedule{
+    .flag = "--certify", .slot = of_req<&R::certify>,
+    .help = "re-verify the schedule with the certificate checker"};
+constexpr Row kEmitSchedule{.flag = "--emit-schedule",
+                            .slot = of_cli<&C::emit_schedule>,
+                            .meta = "FILE", .help = "write the schedule"};
+constexpr Row kScheduleBackend{
+    .flag = "--backend", .slot = of_req<&R::backend>, .def = "sim",
+    .meta = "sim|hostram",
+    .help = "memory under test (hostram: fault-free chips only)"};
 
-bool field_bool(const json::Value& obj, std::string_view key, bool fallback) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_bool()) fail("field '" + std::string(key) + "' must be a bool");
-  return v->as_bool();
-}
+// Every request's own fields; the kind picks the table of the rest.
+constexpr Row kId{.name = "id", .slot = of_req<&R::id>, .required = true};
+constexpr Row kKind{.name = "kind", .slot = of_cli<&C::request>,
+                    .required = true};
 
-std::uint64_t field_u64(const json::Value& obj, std::string_view key,
-                        std::uint64_t fallback, std::uint64_t max) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) return fallback;
+constexpr Row kCampaign[] = {
+    {.name = "algorithm", .slot = of_req<&R::algorithm>, .positional = true,
+     .required = true, .meta = "<algorithm|dsl>",
+     .help = "library name or march DSL text"},
+    {.name = "addr_bits", .flag = "--addr-bits",
+     .slot = of_geometry<&G::address_bits>, .def = "8", .min = 1, .max = 20,
+     .help = "address bits: 2^N words"},
+    {.name = "word_bits", .flag = "--word-bits",
+     .slot = of_geometry<&G::word_bits>, .def = "1", .min = 1, .max = 64,
+     .help = "bits per word"},
+    {.name = "ports", .flag = "--ports", .slot = of_geometry<&G::num_ports>,
+     .def = "1", .min = 1, .max = 4, .help = "memory ports"},
+    {.name = "samples", .flag = "--samples", .slot = of_req<&R::samples>,
+     .def = "64", .min = 1, .max = 1 << 20, .help = "faults sampled per class"},
+    {.name = "seed", .flag = "--seed", .slot = of_req<&R::seed>, .def = "1",
+     .help = "fault-sampling seed"},
+    kJobs,
+    {.name = "kernel", .flag = "--kernel", .slot = of_req<&R::kernel>,
+     .def = "auto", .meta = "scalar|packed|auto",
+     .help = "campaign inner loop (same results)"},
+    {.name = "classes", .flag = "--fault", .slot = of_req<&R::fault_classes>,
+     .meta = "CLASS", .help = "only this fault class (SAF, TF, ..., DRDF)"},
+};
+
+constexpr Row kSoc[] = {
+    kChip,
+    kJobs,
+    {.name = "power_budget", .flag = "--power-budget",
+     .slot = of_req<&R::power_budget>, .meta = "W",
+     .help = "override the chip's power budget"},
+    kMaxFailures,
+    kCertifySchedule,
+    kEmitSchedule,
+    kScheduleBackend,
+};
+
+constexpr Row kField[] = {
+    kChip,
+    {.name = "profile", .flag = "--profile", .slot = of_req<&R::profile>,
+     .form = Form::File, .required = true, .meta = "FILE",
+     .help = "mission profile (CLI default: a demo profile)"},
+    kJobs,
+    kMaxFailures,
+    kCertifySchedule,
+    kEmitSchedule,
+    kScheduleBackend,
+};
+
+constexpr Row kMemtest[] = {
+    {.name = "algorithm", .slot = of_req<&R::algorithm>,
+     .positional = true, .def = "March C", .meta = "[<algorithm|dsl>]",
+     .help = "march algorithm"},
+    // 16 GiB cap: the engine's own geometry bound, restated here so hostile
+    // requests fail at the protocol edge, before any mapping is attempted.
+    {.name = "size_mb", .flag = "--size", .slot = of_req<&R::size_mb>,
+     .form = Form::Size, .def = "256M", .min = 1, .max = 16 << 10,
+     .meta = "BYTES", .help = "buffer size, K/M/G suffix (MiB on the wire)"},
+    {.name = "passes", .flag = "--passes", .slot = of_req<&R::passes>,
+     .def = "1", .min = 1, .max = 1 << 10, .help = "sweeps of the buffer"},
+    {.name = "backgrounds", .flag = "--backgrounds",
+     .slot = of_req<&R::backgrounds>, .def = "0", .max = 7,
+     .help = "data backgrounds, 0 = all 7"},
+    kJobs,
+    {.name = "backend", .flag = "--backend", .slot = of_req<&R::backend>,
+     .def = "hostram", .meta = "sim|hostram",
+     .help = "host RAM, or the behavioral simulator"},
+    kMaxFailures,
+    {.flag = "--huge-pages", .slot = of_cli<&C::huge_pages>,
+     .help = "ask for huge pages"},
+    {.flag = "--inject", .slot = of_cli<&C::inject>,
+     .help = "flip one bit mid-run (must FAIL)"},
+};
+
+constexpr Row kLint[] = {
+    {.name = "input", .slot = of_req<&R::input>, .positional = true,
+     .form = Form::Input, .required = true, .meta = "<file|algorithm|dsl>",
+     .help = "what to verify"},
+    {.name = "unit", .slot = of_req<&R::unit>, .def = "input"},
+    {.name = "json", .flag = "--json", .slot = of_req<&R::lint_json>,
+     .help = "machine-readable diagnostics"},
+    {.name = "storage_depth", .flag = "--storage-depth",
+     .slot = of_req<&R::storage_depth>, .def = "32", .min = 1, .max = 1 << 16,
+     .help = "microcode storage words"},
+    {.name = "buffer_depth", .flag = "--buffer-depth",
+     .slot = of_req<&R::buffer_depth>, .def = "16", .min = 1, .max = 1 << 16,
+     .help = "pFSM buffer rows"},
+    {.name = "against", .flag = "--against", .slot = of_req<&R::against>,
+     .form = Form::PathOrInline, .meta = "SRC",
+     .help = "prove a controller image realizes SRC"},
+    {.name = "chip", .flag = "--chip", .slot = of_req<&R::chip>,
+     .form = Form::File, .meta = "FILE",
+     .help = "chip a profile or schedule is checked against"},
+    {.name = "profile", .flag = "--profile", .slot = of_req<&R::profile>,
+     .form = Form::File, .meta = "FILE",
+     .help = "profile a field schedule is checked against"},
+    {.name = "certify", .flag = "--certify", .slot = of_req<&R::certify>,
+     .help = "chip/profile inputs: certify their schedule too"},
+    {.flag = "--fix", .slot = of_cli<&C::fix>,
+     .help = "rewrite the input file with the mechanical fixes"},
+};
+
+constexpr Row kCancel[] = {
+    {.name = "target", .slot = of_req<&R::target>, .positional = true,
+     .required = true, .meta = "<session-id>",
+     .help = "id of the session to abort"},
+};
+
+/// Each kind's wire name and table, in RequestKind order.
+struct Kind {
+  std::string_view name;
+  std::span<const Row> rows;
+};
+constexpr Kind kKinds[] = {{"campaign", kCampaign}, {"soc", kSoc},
+                           {"field", kField},       {"memtest", kMemtest},
+                           {"lint", kLint},         {"cancel", kCancel},
+                           {"stats", {}}};
+static_assert(std::size(kKinds) ==
+              static_cast<std::size_t>(RequestKind::Stats) + 1);
+
+// ---------------------------------------------------------------------------
+// The typed reader every value goes through: wire fields as parsed, CLI
+// text and defaults after set_text turns them into JSON values.  `subject`
+// names the value in errors ("field 'x'" on the wire, the flag on the
+// CLI).
+
+std::uint64_t integer(const Row& row, const json::Value& v,
+                      const std::string& subject) {
   std::uint64_t out = 0;
   try {
-    out = v->as_u64();
+    out = v.as_u64();
   } catch (const json::JsonError&) {
-    fail("field '" + std::string(key) + "' must be a non-negative integer");
+    fail(subject + " must be a non-negative integer");
   }
-  if (out > max)
-    fail("field '" + std::string(key) + "' out of range (max " +
-         std::to_string(max) + ")");
+  if (out > row.max)
+    fail(subject + " out of range (max " + std::to_string(row.max) + ")");
+  if (out < row.min)
+    fail(subject + " must be >= " + std::to_string(row.min));
   return out;
 }
 
-int field_int(const json::Value& obj, std::string_view key, int fallback,
-              int min, int max) {
-  const auto raw = field_u64(obj, key, static_cast<std::uint64_t>(fallback),
-                             static_cast<std::uint64_t>(max));
-  const int out = static_cast<int>(raw);
-  if (out < min)
-    fail("field '" + std::string(key) + "' must be >= " + std::to_string(min));
-  return out;
+std::string string_value(const Row& row, const json::Value& v,
+                         const std::string& subject) {
+  if (row.required && (!v.is_string() || v.as_string().empty()))
+    fail(subject + " (non-empty string) is required");
+  if (!v.is_string()) fail(subject + " must be a string");
+  // An absent positional is an empty one: both take the default.
+  if (row.positional && v.as_string().empty())
+    return std::string(row.def);
+  return v.as_string();
 }
 
-double field_double(const json::Value& obj, std::string_view key,
-                    double fallback) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  try {
-    return v->as_double();
-  } catch (const json::JsonError&) {
-    fail("field '" + std::string(key) + "' must be a number");
-  }
+template <class E>
+E named(std::optional<E> parsed, const char* what, const std::string& name) {
+  if (!parsed) fail(std::string("unknown ") + what + " '" + name + "'");
+  return *parsed;
 }
 
-void parse_campaign(const json::Value& obj, Request& req) {
-  check_fields(obj, {"algorithm", "addr_bits", "word_bits", "ports", "samples",
-                     "seed", "jobs", "kernel", "classes"});
-  req.algorithm = require_string(obj, "algorithm");
-  req.geometry.address_bits = field_int(obj, "addr_bits", 8, 1, 20);
-  req.geometry.word_bits = field_int(obj, "word_bits", 1, 1, 64);
-  req.geometry.num_ports = field_int(obj, "ports", 1, 1, 4);
-  req.samples = field_int(obj, "samples", 64, 1, 1 << 20);
-  req.seed = field_u64(obj, "seed", 1,
-                       std::numeric_limits<std::uint64_t>::max());
-  req.jobs = field_int(obj, "jobs", 0, 0, 1024);
-  if (const json::Value* k = obj.find("kernel"); k != nullptr) {
-    if (!k->is_string()) fail("field 'kernel' must be a string");
-    const auto parsed = march::parse_kernel(k->as_string());
-    if (!parsed) fail("unknown kernel '" + k->as_string() + "'");
-    req.kernel = *parsed;
-  }
-  if (const json::Value* classes = obj.find("classes"); classes != nullptr) {
-    if (!classes->is_array()) fail("field 'classes' must be an array");
-    for (const auto& item : classes->items()) {
-      if (!item.is_string()) fail("field 'classes' must hold strings");
-      req.fault_classes.push_back(item.as_string());
-    }
-  }
+void set_value(const Row& row, const json::Value& v, Invocation& inv,
+               const std::string& subject) {
+  auto name = [&] { return string_value(row, v, subject); };
+  std::visit(
+      Overload{
+          [&](Get<int> get) {
+            get(inv) = static_cast<int>(integer(row, v, subject));
+          },
+          [&](Get<std::uint64_t> get) { get(inv) = integer(row, v, subject); },
+          [&](Get<double> get) {
+            if (!v.is_number()) fail(subject + " must be a number");
+            get(inv) = v.as_double();
+          },
+          [&](Get<bool> get) {
+            if (!v.is_bool()) fail(subject + " must be a bool");
+            get(inv) = v.as_bool();
+          },
+          [&](Get<std::string> get) { get(inv) = name(); },
+          [&](Get<std::vector<std::string>> get) {
+            if (!v.is_array()) fail(subject + " must be an array");
+            std::vector<std::string> out;
+            for (const auto& item : v.items()) {
+              if (!item.is_string()) fail(subject + " must hold strings");
+              out.push_back(item.as_string());
+            }
+            get(inv) = std::move(out);
+          },
+          [&](Get<march::CampaignKernel> get) {
+            const std::string n = name();
+            get(inv) = named(march::parse_kernel(n), "kernel", n);
+          },
+          [&](Get<backend::BackendKind> get) {
+            const std::string n = name();
+            get(inv) = named(backend::parse_backend(n), "backend", n);
+          },
+      },
+      row.slot);
 }
 
-void parse_soc(const json::Value& obj, Request& req) {
-  check_fields(obj, {"chip", "jobs", "power_budget", "max_failures"});
-  req.chip = require_string(obj, "chip");
-  req.jobs = field_int(obj, "jobs", 0, 0, 1024);
-  req.power_budget = field_double(obj, "power_budget", -1.0);
-  req.max_failures = field_u64(obj, "max_failures", 1024, 1 << 24);
+json::Value value_of(const Row& row, Invocation& inv) {
+  using V = json::Value;
+  return std::visit(
+      Overload{
+          [&](Get<int> get) { return V::number(std::int64_t{get(inv)}); },
+          [&](Get<std::uint64_t> get) { return V::number(get(inv)); },
+          [&](Get<double> get) { return V::number(get(inv)); },
+          [&](Get<bool> get) { return V::boolean(get(inv)); },
+          [&](Get<std::string> get) { return V::string(get(inv)); },
+          [&](Get<std::vector<std::string>> get) {
+            V out = V::array();
+            for (const auto& item : get(inv)) out.push(V::string(item));
+            return out;
+          },
+          [&](Get<march::CampaignKernel> get) {
+            return V::string(std::string(march::kernel_name(get(inv))));
+          },
+          [&](Get<backend::BackendKind> get) {
+            return V::string(std::string(backend::to_string(get(inv))));
+          },
+      },
+      row.slot);
 }
 
-void parse_field(const json::Value& obj, Request& req) {
-  check_fields(obj, {"chip", "profile", "jobs", "max_failures"});
-  req.chip = require_string(obj, "chip");
-  req.profile = require_string(obj, "profile");
-  req.jobs = field_int(obj, "jobs", 0, 0, 1024);
-  req.max_failures = field_u64(obj, "max_failures", 1024, 1 << 24);
-}
-
-void parse_memtest(const json::Value& obj, Request& req) {
-  check_fields(obj, {"algorithm", "size_mb", "passes", "backgrounds", "jobs",
-                     "backend", "max_failures"});
-  req.algorithm = field_string(obj, "algorithm");
-  if (req.algorithm.empty()) req.algorithm = "March C";
-  // 16 GiB cap: the engine's own geometry bound, restated here so hostile
-  // requests fail at the protocol edge, before any mapping is attempted.
-  req.size_mb = field_u64(obj, "size_mb", 256, 16ull << 10);
-  if (req.size_mb == 0) fail("field 'size_mb' must be >= 1");
-  req.passes = field_int(obj, "passes", 1, 1, 1 << 10);
-  req.backgrounds = field_int(obj, "backgrounds", 0, 0, 7);
-  req.jobs = field_int(obj, "jobs", 0, 0, 1024);
-  if (const json::Value* b = obj.find("backend"); b != nullptr) {
-    if (!b->is_string()) fail("field 'backend' must be a string");
-    const auto parsed = backend::parse_backend(b->as_string());
-    if (!parsed) fail("unknown backend '" + b->as_string() + "'");
-    req.backend = *parsed;
-  }
-  req.max_failures = field_u64(obj, "max_failures", 1024, 1 << 24);
-}
-
-void parse_lint(const json::Value& obj, Request& req) {
-  check_fields(obj, {"input", "unit", "json", "storage_depth", "buffer_depth",
-                     "against", "chip", "profile", "certify"});
-  req.input = require_string(obj, "input");
-  if (const json::Value* unit = obj.find("unit"); unit != nullptr) {
-    if (!unit->is_string()) fail("field 'unit' must be a string");
-    req.unit = unit->as_string();
-  }
-  req.lint_json = field_bool(obj, "json", false);
-  req.storage_depth = field_int(obj, "storage_depth", 32, 1, 1 << 16);
-  req.buffer_depth = field_int(obj, "buffer_depth", 16, 1, 1 << 16);
-  req.against = field_string(obj, "against");
-  req.chip = field_string(obj, "chip");
-  req.profile = field_string(obj, "profile");
-  req.certify = field_bool(obj, "certify", false);
-}
-
-void parse_cancel(const json::Value& obj, Request& req) {
-  check_fields(obj, {"target"});
-  req.target = require_string(obj, "target");
-}
+bool on_wire(const Row& row) { return !row.name.empty(); }
 
 json::Value event_base(std::string_view event, const std::string& id) {
   json::Value obj = json::Value::object();
@@ -176,16 +282,43 @@ json::Value event_base(std::string_view event, const std::string& id) {
 }  // namespace
 
 std::string_view to_string(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::Campaign: return "campaign";
-    case RequestKind::Soc: return "soc";
-    case RequestKind::Field: return "field";
-    case RequestKind::Memtest: return "memtest";
-    case RequestKind::Lint: return "lint";
-    case RequestKind::Cancel: return "cancel";
-    case RequestKind::Stats: return "stats";
+  return kKinds[static_cast<std::size_t>(kind)].name;
+}
+
+std::optional<RequestKind> kind_by_name(std::string_view name) {
+  for (std::size_t k = 0; k < std::size(kKinds); ++k)
+    if (kKinds[k].name == name) return static_cast<RequestKind>(k);
+  return std::nullopt;
+}
+
+std::span<const Row> rows_of(RequestKind kind) {
+  return kKinds[static_cast<std::size_t>(kind)].rows;
+}
+
+void set_text(const Row& row, Invocation& inv, std::string_view text) {
+  const std::string subject{row.flag.empty() ? row.meta : row.flag};
+  if (row.form == Form::Size) {
+    const auto bytes = backend::parse_size_bytes(text);
+    if (!bytes || (*bytes >> 20) > row.max)
+      fail(subject + " expects BYTES with an optional K/M/G suffix, up to " +
+           std::to_string(row.max) + "M, not '" + std::string(text) + "'");
+    inv.cli.size_bytes = *bytes;
+    std::get<Get<std::uint64_t>>(row.slot)(inv) = *bytes >> 20;
+    return;
   }
-  return "?";
+  const std::string raw{text};
+  json::Value value = json::Value::string(raw);
+  if (std::holds_alternative<Get<std::vector<std::string>>>(row.slot)) {
+    value = json::Value::array();
+    value.push(json::Value::string(raw));
+  } else if (!std::holds_alternative<Get<std::string>>(row.slot)) {
+    // Numbers and bools read as JSON text; a bare name stays a string.
+    try {
+      value = json::Value::parse(raw);
+    } catch (const json::JsonError&) {
+    }
+  }
+  set_value(row, value, inv, subject);
 }
 
 Request parse_request(const std::string& line) {
@@ -197,34 +330,57 @@ Request parse_request(const std::string& line) {
   }
   if (!doc.is_object()) fail("request must be a json object");
 
-  Request req;
-  req.id = require_string(doc, "id");
-  const std::string kind = require_string(doc, "kind");
-  if (kind == "campaign") {
-    req.kind = RequestKind::Campaign;
-    parse_campaign(doc, req);
-  } else if (kind == "soc") {
-    req.kind = RequestKind::Soc;
-    parse_soc(doc, req);
-  } else if (kind == "field") {
-    req.kind = RequestKind::Field;
-    parse_field(doc, req);
-  } else if (kind == "memtest") {
-    req.kind = RequestKind::Memtest;
-    parse_memtest(doc, req);
-  } else if (kind == "lint") {
-    req.kind = RequestKind::Lint;
-    parse_lint(doc, req);
-  } else if (kind == "cancel") {
-    req.kind = RequestKind::Cancel;
-    parse_cancel(doc, req);
-  } else if (kind == "stats") {
-    req.kind = RequestKind::Stats;
-    check_fields(doc, {});
-  } else {
-    fail("unknown kind '" + kind + "'");
+  Invocation inv;
+  const auto field = [&](const Row& row) {
+    const std::string subject = "field '" + std::string(row.name) + "'";
+    if (const json::Value* v = doc.find(row.name); v != nullptr)
+      set_value(row, *v, inv, subject);
+    else if (row.required)
+      fail(subject + " (non-empty string) is required");
+    else if (!row.def.empty())
+      set_text(row, inv, row.def);
+  };
+  field(kId);
+  field(kKind);
+  const auto parsed = kind_by_name(inv.cli.request);
+  if (!parsed) fail("unknown kind '" + inv.cli.request + "'");
+  inv.req.kind = *parsed;
+  const auto rows = rows_of(*parsed);
+
+  // Unknown fields are hard errors, so client typos ("algorithim") cannot
+  // silently select defaults.
+  for (const auto& [key, value] : doc.members()) {
+    (void)value;
+    if (key == "id" || key == "kind") continue;
+    if (std::ranges::none_of(rows, [&](const Row& row) {
+          return on_wire(row) && row.name == key;
+        }))
+      fail("unknown field '" + key + "'");
   }
-  return req;
+  for (const Row& row : rows)
+    if (on_wire(row)) field(row);
+  return std::move(inv.req);
+}
+
+std::string request_line(const Request& req) {
+  Invocation inv{.req = req, .cli = {}};
+  json::Value obj = json::Value::object();
+  obj.set("id", json::Value::string(req.id));
+  obj.set("kind", json::Value::string(std::string(to_string(req.kind))));
+  for (const Row& row : rows_of(req.kind))
+    if (on_wire(row)) obj.set(std::string(row.name), value_of(row, inv));
+  return obj.dump();
+}
+
+std::vector<memsim::FaultClass> fault_classes(const Request& req) {
+  if (req.fault_classes.empty()) return memsim::all_fault_classes();
+  std::vector<memsim::FaultClass> out;
+  for (const auto& name : req.fault_classes) {
+    const auto cls = memsim::fault_class_by_name(name);
+    if (!cls) throw std::runtime_error("unknown fault class '" + name + "'");
+    out.push_back(*cls);
+  }
+  return out;
 }
 
 std::string event_accepted(const std::string& id) {

@@ -27,14 +27,28 @@
 // types, unknown fields and unknown kinds all throw ProtocolError (callers
 // turn it into an `error` event); it never crashes on hostile input
 // (fuzzed by tests/test_serve.cpp).
+//
+// The request schema.  Each kind is described once, as a table of Rows
+// (rows_of): wire name, CLI flag, type, range, default and help text.
+// Four consumers read the tables and nothing else: parse_request (JSON),
+// set_text (CLI flags and every default), request_line (what `pmbist
+// submit` sends) and the CLI's --help text.  A work command of the CLI
+// takes exactly its kind's rows, so the CLI, serve and submit cannot
+// drift apart.
 
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "backend/backend.h"
 #include "march/kernel.h"
+#include "memsim/fault_model.h"
 #include "memsim/memory.h"
 
 namespace pmbist::serve {
@@ -57,8 +71,10 @@ enum class RequestKind : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(RequestKind kind);
 
-/// One parsed request.  Field defaults equal the CLI's flag defaults, so
-/// a minimal request means the same thing as a bare CLI invocation.
+/// One parsed request.  parse_request fills every field of the kind from
+/// its table (rows_of), defaults included; the CLI flag of each field
+/// shares that row, so a minimal request means the same thing as a bare
+/// CLI invocation.
 struct Request {
   std::string id;
   RequestKind kind = RequestKind::Stats;
@@ -108,6 +124,97 @@ struct Request {
 /// Parses one request line.  Throws ProtocolError on anything malformed;
 /// never crashes on hostile input.
 [[nodiscard]] Request parse_request(const std::string& line);
+
+/// The inverse of parse_request: the request line that parses back to
+/// `req` (every wire field of its kind, in table order).
+[[nodiscard]] std::string request_line(const Request& req);
+
+/// The kind whose to_string is `name`.
+[[nodiscard]] std::optional<RequestKind> kind_by_name(std::string_view name);
+
+/// A campaign's fault classes: the `fault_classes` names in order, or
+/// every class when empty.  Throws std::runtime_error on an unknown name.
+[[nodiscard]] std::vector<memsim::FaultClass> fault_classes(
+    const Request& req);
+
+/// Values outside Request: those only CLI flags set (the wire never
+/// carries them), and the kind name a line or `submit --req` gives.
+struct CliValues {
+  bool inject = false;        ///< memtest: flip one bit mid-run (self-test)
+  bool huge_pages = false;    ///< memtest: ask for huge pages
+  bool fix = false;           ///< lint: rewrite the input file in place
+  std::string emit_schedule;  ///< soc/field: write the schedule file here
+  /// memtest --size in bytes: the wire's size_mb cannot say "below 1 MiB".
+  std::uint64_t size_bytes = 0;
+  // The own flags of the commands that are no request kind.
+  std::string arch;         ///< assemble/run: controller architecture
+  bool flat = false;        ///< assemble/run: no Repeat fold
+  bool hex = false;         ///< assemble: print the portable hex image
+  std::string program;      ///< run: hex microcode image to load
+  int port = -1;            ///< serve/submit: TCP port (-1 = pipe mode)
+  int sessions = 0;         ///< serve: concurrent session workers
+  int cache_mb = 0;         ///< serve: op-stream cache budget in MiB
+  std::string payload_dir;  ///< serve pipe mode: mirror payloads here
+  std::string request;      ///< kind name: submit --req, a line's "kind"
+};
+
+/// Everything one CLI invocation or request line sets.
+struct Invocation {
+  Request req;
+  CliValues cli;
+};
+
+/// A row's storage: the typed member it reads and writes.
+template <class T>
+using Get = T& (*)(Invocation&);
+using Slot =
+    std::variant<Get<int>, Get<std::uint64_t>, Get<double>, Get<bool>,
+                 Get<std::string>, Get<std::vector<std::string>>,
+                 Get<march::CampaignKernel>, Get<backend::BackendKind>>;
+
+/// Slots of Request, Request::geometry and CliValues members.
+template <auto M>
+inline constexpr auto of_req = +[](Invocation& i) -> auto& { return i.req.*M; };
+template <auto M>
+inline constexpr auto of_geometry =
+    +[](Invocation& i) -> auto& { return i.req.geometry.*M; };
+template <auto M>
+inline constexpr auto of_cli = +[](Invocation& i) -> auto& { return i.cli.*M; };
+
+/// How CLI text becomes the value (the wire carries the value itself).
+enum class Form : std::uint8_t {
+  Text,          ///< the text as given
+  File,          ///< a path: the file's contents
+  PathOrInline,  ///< the file's contents when the text opens, else the text
+  Input,         ///< PathOrInline whose path also becomes `unit`
+  Size,          ///< BYTES[K|M|G]; whole MiB on the wire (size_mb)
+};
+
+/// One field of a request kind, or one flag of a CLI command.  A row
+/// without a name is CLI-only (the wire never carries it); a row without
+/// a flag that is not the positional is wire-only.
+struct Row {
+  std::string_view name{};  ///< wire field name
+  std::string_view flag{};  ///< CLI flag
+  Slot slot;
+  bool positional = false;  ///< the CLI's positional argument instead
+  Form form = Form::Text;
+  /// Default as CLI text; "" keeps the member's initial value.
+  std::string_view def{};
+  std::uint64_t min = 0;  ///< integer rows: inclusive range
+  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  bool required = false;  ///< a non-empty string on the wire
+  std::string_view meta = "N";  ///< value placeholder in --help ("FILE")
+  std::string_view help{};
+};
+
+/// The table of a request kind, in wire order.
+[[nodiscard]] std::span<const Row> rows_of(RequestKind kind);
+
+/// Sets `row` from CLI text (after any file read its Form asks for).
+/// Throws ProtocolError naming the flag when the text is out of type or
+/// range.
+void set_text(const Row& row, Invocation& inv, std::string_view text);
 
 /// Event constructors: one complete JSON line each (no trailing newline),
 /// built through the deterministic JSON writer so escaping is correct and

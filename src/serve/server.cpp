@@ -26,9 +26,8 @@
 #include "lint/diagnostics.h"
 #include "lint/driver.h"
 #include "march/coverage.h"
-#include "march/library.h"
-#include "march/parser.h"
 #include "soc/chip.h"
+#include "soc/plan.h"
 #include "soc/scheduler.h"
 
 namespace pmbist::serve {
@@ -36,38 +35,11 @@ namespace {
 
 namespace json = common::json;
 
-march::MarchAlgorithm resolve_algorithm(const std::string& name) {
-  try {
-    return march::by_name(name);
-  } catch (const std::out_of_range&) {
-    return march::parse(name, "custom");
-  }
-}
-
-memsim::FaultClass class_by_name(const std::string& name) {
-  for (auto cls : memsim::all_fault_classes())
-    if (memsim::fault_class_name(cls) == name) return cls;
-  throw std::runtime_error("unknown fault class '" + name + "'");
-}
-
-/// Chains every lint input that can change the verdict into one key;
-/// 0x1f separators keep adjacent fields from aliasing.
-std::uint64_t lint_key(const Request& req) {
-  std::uint64_t key = common::fnv1a64(req.input);
-  const char sep[] = {0x1f, 0};
-  auto mix = [&](const std::string& part) {
-    key = common::fnv1a64(sep, key);
-    key = common::fnv1a64(part, key);
-  };
-  mix(req.unit);
-  mix(req.lint_json ? "json" : "text");
-  mix(std::to_string(req.storage_depth));
-  mix(std::to_string(req.buffer_depth));
-  mix(req.against);
-  mix(req.chip);
-  mix(req.profile);
-  mix(req.certify ? "certify" : "");
-  return key;
+/// Every lint input that can change the verdict, canonically: the request
+/// line of the parsed request, minus its id.
+std::uint64_t lint_key(Request req) {
+  req.id.clear();
+  return common::fnv1a64(request_line(req));
 }
 
 /// Certify gate for exec_soc/exec_field under ServerOptions::certify: a
@@ -118,13 +90,13 @@ void Server::emit(const Sink& sink, const std::string& line) {
   sink(line);
 }
 
-bool Server::post(const std::string& line, Sink sink) {
+std::optional<std::string> Server::post(const std::string& line, Sink sink) {
   Request req;
   try {
     req = parse_request(line);
   } catch (const ProtocolError& e) {
     emit(sink, event_error("", e.what()));
-    return false;
+    return std::nullopt;
   }
 
   if (req.kind == RequestKind::Cancel) {
@@ -140,12 +112,12 @@ bool Server::post(const std::string& line, Sink sink) {
       target->cancel.store(true, std::memory_order_relaxed);
       emit(sink, event_result(req.id, 0, "cancelling '" + req.target + "'"));
     }
-    return false;
+    return std::nullopt;
   }
 
   if (req.kind == RequestKind::Stats) {
     emit(sink, event_result(req.id, 0, stats_payload()));
-    return false;
+    return std::nullopt;
   }
 
   auto session = std::make_shared<Session>();
@@ -155,17 +127,18 @@ bool Server::post(const std::string& line, Sink sink) {
     if (sessions_.contains(req.id)) {
       emit(sink, event_error(req.id,
                              "session '" + req.id + "' is already active"));
-      return false;
+      return std::nullopt;
     }
     sessions_.emplace(req.id, session);
   }
   // `accepted` goes out before post() returns, so a client always sees it
   // ahead of any progress/terminal event of the same request.
   emit(sink, event_accepted(req.id));
+  std::string id = req.id;
   pool_->submit([this, req = std::move(req), session, sink = std::move(sink)] {
     run_session(req, session, sink);
   });
-  return true;
+  return id;
 }
 
 void Server::run_session(const Request& req,
@@ -203,15 +176,8 @@ Server::ExecResult Server::execute(const Request& req, Session& session,
 
 Server::ExecResult Server::exec_campaign(const Request& req, Session& session,
                                          const Sink& sink) {
-  const auto alg = resolve_algorithm(req.algorithm);
-  std::vector<memsim::FaultClass> classes;
-  if (req.fault_classes.empty()) {
-    const auto& all = memsim::all_fault_classes();
-    classes.assign(all.begin(), all.end());
-  } else {
-    for (const auto& name : req.fault_classes)
-      classes.push_back(class_by_name(name));
-  }
+  const auto alg = soc::resolve_algorithm(req.algorithm);
+  const std::vector<memsim::FaultClass> classes = fault_classes(req);
 
   const int total = static_cast<int>(classes.size());
   session.total.store(total, std::memory_order_relaxed);
@@ -287,7 +253,7 @@ Server::ExecResult Server::exec_field(const Request& req, Session& session,
 
 Server::ExecResult Server::exec_memtest(const Request& req, Session& session,
                                         const Sink& sink) {
-  const auto alg = resolve_algorithm(req.algorithm);
+  const auto alg = soc::resolve_algorithm(req.algorithm);
   const backend::MemtestOptions opts{
       .size_bytes = req.size_mb << 20,
       .passes = req.passes,
@@ -312,9 +278,13 @@ Server::ExecResult Server::exec_memtest(const Request& req, Session& session,
 
 Server::ExecResult Server::exec_lint(const Request& req) {
   const std::uint64_t key = lint_key(req);
-  if (auto hit = lints_.get(key))
-    return {hit->exit_code, std::move(hit->payload)};
+  if (auto hit = lints_.get(key)) return std::move(*hit);
+  ExecResult verdict = lint_verdict(req);
+  lints_.put(key, verdict);
+  return verdict;
+}
 
+VerdictCache::Verdict lint_verdict(const Request& req) {
   const lint::LintOptions lopts{.storage_depth = req.storage_depth,
                                 .buffer_depth = req.buffer_depth,
                                 .chip = req.chip,
@@ -322,11 +292,8 @@ Server::ExecResult Server::exec_lint(const Request& req) {
                                 .certify = req.certify,
                                 .against = req.against};
   const lint::Report report = lint::lint_text(req.input, req.unit, lopts);
-  VerdictCache::Verdict verdict{lint::format_cli(report, req.unit,
-                                                 req.lint_json),
-                                report.has_errors() ? 1 : 0};
-  lints_.put(key, verdict);
-  return {verdict.exit_code, std::move(verdict.payload)};
+  return {report.has_errors() ? 1 : 0,
+          lint::format_cli(report, req.unit, req.lint_json)};
 }
 
 std::string Server::stats_payload() const {
@@ -366,15 +333,7 @@ std::vector<std::string> Server::call(const std::string& line) {
   std::vector<std::string> events;
   // The emit mutex serializes sink invocations, so no extra locking here.
   Sink sink = [&events](const std::string& s) { events.push_back(s); };
-
-  std::string id;
-  try {
-    id = parse_request(line).id;
-  } catch (const ProtocolError&) {
-    // post() re-parses and emits the error event.
-  }
-  const bool queued = post(line, std::move(sink));
-  if (queued) wait_finished(id);
+  if (const auto id = post(line, std::move(sink))) wait_finished(*id);
   return events;
 }
 
@@ -478,12 +437,7 @@ int Server::serve_tcp(int port, const std::function<void(int)>& ready,
           const std::string line = pending.substr(0, nl);
           pending.erase(0, nl + 1);
           if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-          std::string id;
-          try {
-            id = parse_request(line).id;
-          } catch (const ProtocolError&) {
-          }
-          if (post(line, sink)) posted.push_back(id);
+          if (auto id = post(line, sink)) posted.push_back(std::move(*id));
         }
       }
       // Drain this connection's sessions before closing the socket, so a

@@ -41,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,9 +83,10 @@ class Server {
 
   /// Submits one request line.  Emits `accepted` (and queues the session)
   /// or the complete response for control requests (cancel/stats) and
-  /// parse errors synchronously, before returning.  Returns true when a
-  /// session was queued (a terminal event will follow asynchronously).
-  bool post(const std::string& line, Sink sink);
+  /// parse errors synchronously, before returning.  Returns the id of the
+  /// queued session (a terminal event will follow asynchronously), or
+  /// nullopt when none was queued.
+  std::optional<std::string> post(const std::string& line, Sink sink);
 
   /// Synchronous convenience: post() and block until the terminal event;
   /// returns every event emitted for the request, in order.
@@ -129,10 +131,8 @@ class Server {
   }
 
  private:
-  struct ExecResult {
-    int exit_code = 0;
-    std::string payload;
-  };
+  /// A work session's exit code and CLI-identical payload.
+  using ExecResult = VerdictCache::Verdict;
 
   void run_session(const Request& req, const std::shared_ptr<Session>& session,
                    const Sink& sink);
@@ -167,5 +167,9 @@ class Server {
   /// first, while every member the sessions touch is still alive.
   std::unique_ptr<common::ThreadPool> pool_;
 };
+
+/// The verdict of a lint request, uncached: `pmbist lint`'s stdout and
+/// exit code (0 clean, 1 errors).
+[[nodiscard]] VerdictCache::Verdict lint_verdict(const Request& req);
 
 }  // namespace pmbist::serve

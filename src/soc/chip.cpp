@@ -143,13 +143,6 @@ class Args {
   std::string where_;
 };
 
-memsim::FaultClass class_by_name(const std::string& name,
-                                 const std::string& where) {
-  for (const auto cls : memsim::all_fault_classes())
-    if (memsim::fault_class_name(cls) == name) return cls;
-  fail_at(where, "unknown fault class '" + name + "'");
-}
-
 memsim::BitRef checked_cell(const Args& args, const std::string& key,
                             const memsim::MemoryGeometry& g) {
   const auto c = args.cell(key);
@@ -209,11 +202,13 @@ memsim::Fault parse_fault_args(const std::string& kind, const Args& args,
     return PortReadFault{port, bit};
   }
   if (kind == "sample") {
-    const auto cls = class_by_name(args.raw("class"), where);
+    const std::string name = args.raw("class");
+    const auto cls = memsim::fault_class_by_name(name);
+    if (!cls) fail_at(where, "unknown fault class '" + name + "'");
     const auto seed = args.u64_or("seed", 1);
     const auto index = args.u64_or("index", 0);
     const auto universe = march::make_fault_universe(
-        cls, g, seed, static_cast<int>(std::max<std::uint64_t>(64, index + 1)));
+        *cls, g, seed, static_cast<int>(std::max<std::uint64_t>(64, index + 1)));
     if (universe.empty())
       fail_at(where, "empty fault universe for this class/geometry");
     return universe[index % universe.size()];

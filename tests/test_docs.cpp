@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -563,6 +564,50 @@ TEST(DocExamples, ServeExamplesAreByteStableAndErrorFree) {
     EXPECT_TRUE(pending_ids.empty())
         << pending_ids.size() << " request(s) never reached a terminal event";
   }
+}
+
+// The request table in docs/SERVE.md names, per kind, exactly the wire
+// fields of that kind's schema rows (serve::rows_of): nothing missing,
+// nothing extra, no kind left out.
+TEST(DocExamples, ServeRequestTableMatchesTheSchema) {
+  const auto doc = read_file(std::string{PMBIST_SOURCE_DIR} + "/docs/SERVE.md");
+  // Backticked lower_case words of a table cell, e.g. `addr_bits`.
+  const auto ticked = [](const std::string& cell) {
+    std::set<std::string> out;
+    for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+      const std::size_t close = cell.find('`', open + 1);
+      if (close == std::string::npos) break;
+      const std::string word = cell.substr(open + 1, close - open - 1);
+      if (!word.empty() && word.find_first_not_of(
+                               "abcdefghijklmnopqrstuvwxyz_") == std::string::npos)
+        out.insert(word);
+      open = cell.find('`', close + 1);
+    }
+    return out;
+  };
+  std::set<std::string> kinds;
+  std::istringstream lines{doc};
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.starts_with("| `")) continue;
+    SCOPED_TRACE(line);
+    std::vector<std::string> cells;
+    std::istringstream split{line.substr(1)};
+    for (std::string cell; std::getline(split, cell, '|');)
+      cells.push_back(cell);
+    ASSERT_GE(cells.size(), 3u);
+    const auto names = ticked(cells[0]);
+    ASSERT_EQ(names.size(), 1u);
+    const auto kind = serve::kind_by_name(*names.begin());
+    ASSERT_TRUE(kind.has_value());
+    kinds.insert(*names.begin());
+    std::set<std::string> schema;
+    for (const serve::Row& r : serve::rows_of(*kind))
+      if (!r.name.empty()) schema.emplace(r.name);
+    EXPECT_EQ(ticked(cells[2]), schema);
+  }
+  EXPECT_EQ(kinds, (std::set<std::string>{"campaign", "soc", "field",
+                                          "memtest", "lint", "cancel",
+                                          "stats"}));
 }
 
 TEST(DocExamples, ServeErrorExamplesAnswerWithErrorEvents) {

@@ -18,11 +18,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -198,6 +201,111 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   for (const char* line : bad)
     EXPECT_THROW((void)serve::parse_request(line), serve::ProtocolError)
         << "accepted: " << line;
+}
+
+// The per-kind tables are the only description of a request: these pin
+// the invariants the four consumers (flags, JSON, submit, --help) rely on.
+TEST(ServeSchema, TablesAreWellFormed) {
+  for (const auto kind :
+       {serve::RequestKind::Campaign, serve::RequestKind::Soc,
+        serve::RequestKind::Field, serve::RequestKind::Memtest,
+        serve::RequestKind::Lint, serve::RequestKind::Cancel,
+        serve::RequestKind::Stats}) {
+    SCOPED_TRACE(std::string(serve::to_string(kind)));
+    EXPECT_EQ(serve::kind_by_name(serve::to_string(kind)), kind);
+    std::set<std::string_view> names;
+    std::set<std::string_view> flags;
+    int positionals = 0;
+    for (const serve::Row& row : serve::rows_of(kind)) {
+      EXPECT_FALSE(row.name.empty() && row.flag.empty() && !row.positional)
+          << "a row must reach the wire or the CLI";
+      if (!row.name.empty()) {
+        EXPECT_TRUE(names.insert(row.name).second);
+      }
+      if (!row.flag.empty()) {
+        EXPECT_TRUE(flags.insert(row.flag).second);
+      }
+      positionals += row.positional ? 1 : 0;
+      if (std::holds_alternative<serve::Get<int>>(row.slot)) {
+        EXPECT_LE(row.max, static_cast<std::uint64_t>(INT_MAX)) << row.name;
+      }
+    }
+    EXPECT_LE(positionals, 1);
+  }
+  EXPECT_FALSE(serve::kind_by_name("frobnicate").has_value());
+}
+
+// request_line is what `pmbist submit` sends: it must parse back to the
+// same request, for every kind.
+TEST(ServeSchema, RequestLineParsesBackToTheSameRequest) {
+  const char* lines[] = {
+      R"({"id":"c","kind":"campaign","algorithm":"MATS","addr_bits":4,)"
+      R"("word_bits":8,"ports":2,"samples":9,"seed":18446744073709551615,)"
+      R"("jobs":3,"kernel":"scalar","classes":["SAF","TF"]})",
+      R"({"id":"s","kind":"soc","chip":"c","power_budget":2.5,)"
+      R"("max_failures":7})",
+      R"({"id":"f","kind":"field","chip":"c","profile":"p"})",
+      R"({"id":"m","kind":"memtest","size_mb":3,"backend":"sim"})",
+      R"({"id":"l","kind":"lint","input":"x","unit":"","json":true,)"
+      R"("against":"a","certify":true})",
+      R"({"id":"k","kind":"cancel","target":"c"})",
+      R"({"id":"t","kind":"stats"})",
+  };
+  for (const char* line : lines) {
+    SCOPED_TRACE(line);
+    const auto req = serve::parse_request(line);
+    const std::string wire = serve::request_line(req);
+    const auto back = serve::parse_request(wire);
+    EXPECT_EQ(serve::request_line(back), wire);
+    EXPECT_EQ(back.id, req.id);
+    EXPECT_EQ(back.kind, req.kind);
+  }
+  const auto c = serve::parse_request(serve::request_line(
+      serve::parse_request(lines[0])));
+  EXPECT_EQ(c.seed, ~std::uint64_t{0});
+  EXPECT_EQ(c.kernel, march::CampaignKernel::Scalar);
+  EXPECT_EQ(c.fault_classes, (std::vector<std::string>{"SAF", "TF"}));
+  EXPECT_EQ(c.geometry.num_ports, 2);
+  const auto l = serve::parse_request(serve::request_line(
+      serve::parse_request(lines[4])));
+  EXPECT_EQ(l.unit, "");
+  EXPECT_TRUE(l.lint_json);
+  EXPECT_EQ(l.against, "a");
+}
+
+// CLI text runs through the same typed checks as JSON, naming the flag.
+TEST(ServeSchema, CliTextIsCheckedLikeJson) {
+  const auto row = [](serve::RequestKind kind, std::string_view name) {
+    for (const serve::Row& r : serve::rows_of(kind))
+      if (r.name == name) return r;
+    throw std::logic_error("no row");
+  };
+  serve::Invocation inv;
+  serve::set_text(row(serve::RequestKind::Campaign, "addr_bits"), inv, "12");
+  EXPECT_EQ(inv.req.geometry.address_bits, 12);
+  for (const char* bad : {"21", "0", "x", "", "-1", "1.5"}) {
+    try {
+      serve::set_text(row(serve::RequestKind::Campaign, "addr_bits"), inv,
+                      bad);
+      ADD_FAILURE() << "accepted --addr-bits " << bad;
+    } catch (const serve::ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("--addr-bits"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(serve::set_text(row(serve::RequestKind::Campaign, "kernel"),
+                               inv, "warp"),
+               serve::ProtocolError);
+
+  // --size keeps the exact byte count for the CLI; the wire gets whole MiB.
+  const serve::Row size = row(serve::RequestKind::Memtest, "size_mb");
+  serve::set_text(size, inv, "4K");
+  EXPECT_EQ(inv.cli.size_bytes, 4096u);
+  EXPECT_EQ(inv.req.size_mb, 0u);
+  serve::set_text(size, inv, "1536K");
+  EXPECT_EQ(inv.req.size_mb, 1u);
+  EXPECT_THROW(serve::set_text(size, inv, "32G"), serve::ProtocolError);
+  EXPECT_THROW(serve::set_text(size, inv, "12Q"), serve::ProtocolError);
 }
 
 // Hostile-input fuzz: every truncation of a valid request, plus byte
@@ -667,6 +775,19 @@ TEST(ServeSessions, CancelMidCampaignLeavesTheServerReusable) {
   EXPECT_EQ(event_field(after.back(), "event"), "result");
   EXPECT_EQ(event_field(after.back(), "exit"), "0");
   EXPECT_EQ(server.stats().active, 0);
+}
+
+TEST(ServeSessions, PostReportsTheQueuedSessionId) {
+  serve::Server server{{.sessions = 1}};
+  Collector events;
+  EXPECT_EQ(server.post(R"({"id":"l","kind":"lint","input":"MATS"})",
+                        events.sink()),
+            "l");
+  ASSERT_TRUE(events.wait_for_terminal("l", std::chrono::seconds(60)));
+  // Control requests and malformed lines queue nothing.
+  EXPECT_EQ(server.post(R"({"id":"s","kind":"stats"})", events.sink()),
+            std::nullopt);
+  EXPECT_EQ(server.post("not json", events.sink()), std::nullopt);
 }
 
 TEST(ServeSessions, CancelUnknownTargetIsAnError) {

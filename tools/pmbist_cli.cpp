@@ -1,73 +1,18 @@
 // pmbist — command-line front end to the programmable-MBIST library.
 //
-//   pmbist list
-//       Library algorithms with complexity and qualification verdicts.
-//   pmbist assemble  <algorithm|dsl> [--arch ucode|pfsm] [--flat]
-//       Compile an algorithm and print the program listing.
-//   pmbist qualify   <algorithm|dsl>
-//       Static detection guarantees per fault class.
-//   pmbist run       <algorithm|dsl> [--arch ucode|pfsm|hardwired]
-//                    [--addr-bits N] [--word-bits N] [--ports N]
-//                    [--fault CLASS] [--seed N]
-//       Cycle-accurate BIST run; optionally inject one sampled fault.
-//   pmbist area      [--addr-bits N] [--word-bits N] [--ports N]
-//       Area report of all architectures for a geometry.
-//   pmbist coverage  <algorithm|dsl> [--addr-bits N] [--samples N]
-//       Fault-simulation campaign for one algorithm.
-//   pmbist export    <algorithm|dsl> [--word-bits N] [--ports N]
-//       Emit the hardwired controller FSM for the algorithm as
-//       synthesizable Verilog on stdout.
-//   pmbist export-decoder
-//       Emit the microcode instruction decoder (minimized covers) and the
-//       programmable-FSM lower controller as Verilog.
-//   pmbist soc       [--chip FILE] [--jobs N] [--power-budget W]
-//                    [--max-failures N] [--certify] [--emit-schedule F]
-//       Whole-chip BIST: schedule and run every memory of a chip file
-//       (docs/SOC.md) under power and controller-sharing constraints.
-//       Without --chip, runs the built-in 9-memory demo chip.  --certify
-//       re-verifies the schedule with the independent certificate checker;
-//       --emit-schedule writes it as a .schedule file.
-//   pmbist field     [--chip FILE] [--profile FILE] [--jobs N]
-//                    [--max-failures N] [--certify] [--emit-schedule F]
-//       In-field online testing: pack preemptible transparent BIST
-//       sessions into the idle windows of a mission profile
-//       (docs/FIELD.md).  Without --chip/--profile, runs the built-in
-//       demo chip against the built-in demo profile.  --certify and
-//       --emit-schedule work as in `soc` (.fieldsched file).
-//   pmbist memtest   [<algorithm|dsl>] [--size BYTES[K|M|G]] [--passes N]
-//                    [--backgrounds N] [--jobs N] [--backend sim|hostram]
-//                    [--huge-pages] [--inject]
-//       March-test a large block of host RAM (docs/BACKEND.md): expand
-//       the algorithm (default March C) into a march stream and execute
-//       it against an mmap'd buffer, sharded across worker threads.
-//       The deterministic report (signature, op counts, verdict) goes to
-//       stdout; sustained read/write GB/s go to stderr.  --inject flips
-//       one bit mid-run as a self-test (the run must FAIL).
-//   pmbist lint      <file|algorithm|dsl> [--json] [--storage-depth N]
-//                    [--buffer-depth N] [--chip FILE] [--profile FILE]
-//                    [--certify]
-//       Static verifier: march algorithms, microcode hex images, pFSM hex
-//       images, chip files, mission profiles and emitted schedules (kind
-//       auto-detected; docs/LINT.md lists the diagnostic codes).  Exits
-//       nonzero when errors are found.
-//   pmbist serve     [--port N] [--sessions N] [--cache-mb N]
-//       Long-running BIST service (docs/SERVE.md): newline-delimited JSON
-//       requests in, JSON events out.  Without --port, reads stdin and
-//       writes stdout (batch/pipe mode); with --port, serves loopback TCP
-//       (0 = ephemeral, bound port printed on stderr).
+// `pmbist --help` (or `pmbist <command> --help`) prints every command and
+// its flags on stdout and exits 0.  The work commands coverage, soc,
+// field, memtest and lint take exactly the rows of their serve request
+// kind (campaign, soc, field, memtest, lint): the per-kind tables in
+// serve/protocol.h drive this file's flag parsing, the serve JSON parser,
+// `submit` and the --help text, so the one-shot CLI and the service
+// cannot drift apart.  The other commands declare small flag sets of
+// their own in commands() below.  Every command rejects any flag outside
+// its set.
 //
 // Exit codes are uniform across subcommands: 0 = success, 1 = the checked
 // artifact failed (BIST mismatch, unhealthy chip, lint errors), 2 = usage
-// or input errors.  `pmbist --help` (or `<command> --help`) prints the
-// usage text on stdout and exits 0.
-//
-// `assemble --hex` prints a portable microcode hex image; `run --program
-// <file>` loads such an image into the microcode controller instead of
-// assembling an algorithm.  `--jobs N` sets the worker count for every
-// fault-simulation / qualification path (0 = all cores, 1 = serial) and
-// `--kernel scalar|packed` selects the campaign inner loop (default: the
-// packed 64-lane PPSFP kernel, docs/KERNEL.md); results are identical for
-// any combination.
+// or input errors.
 //
 // <algorithm|dsl> is a library name ("March C+") or an inline DSL string
 // ("any(w0); up(r0,w1); ...").
@@ -83,7 +28,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -93,12 +38,10 @@
 #include "common/json.h"
 #include "lint/certify.h"
 #include "lint/diagnostics.h"
-#include "lint/driver.h"
 #include "lint/fix.h"
 #include "march/analysis.h"
 #include "march/campaign.h"
 #include "march/library.h"
-#include "march/parser.h"
 #include "mbist_hardwired/area.h"
 #include "mbist_hardwired/controller.h"
 #include "mbist_pfsm/area.h"
@@ -110,263 +53,144 @@
 #include "field/manager.h"
 #include "field/profile.h"
 #include "field/schedule_io.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "soc/chip.h"
+#include "soc/plan.h"
 #include "soc/schedule_io.h"
 #include "soc/scheduler.h"
 
 namespace {
 
 using namespace pmbist;
+using serve::Form;
+using serve::Get;
+using serve::Invocation;
+using serve::RequestKind;
+using serve::Row;
 
-struct Options {
-  std::string command;
-  std::string algorithm;
-  std::string arch = "ucode";
-  int addr_bits = 8;
-  int word_bits = 1;
-  int ports = 1;
-  int samples = 64;
-  int jobs = 0;
-  march::CampaignKernel kernel = march::CampaignKernel::Auto;
-  std::uint64_t seed = 1;
-  std::string fault_class;
-  std::string program_file;
-  std::string chip_file;
-  std::string profile_file;
-  double power_budget = -1.0;  ///< <0 = keep the chip file's budget
-  std::size_t max_failures = 1024;
-  bool flat = false;
-  bool hex = false;
-  bool json = false;
-  int storage_depth = 32;
-  int buffer_depth = 16;
-  std::string against;  ///< march source for translation validation
-  bool fix = false;     ///< apply mechanical fixes and rewrite the file
-  bool certify = false;         ///< run the schedule certificate checker
-  std::string emit_schedule;    ///< soc/field: write the schedule file here
-  int port = -1;        ///< serve: TCP port (-1 = pipe mode, 0 = ephemeral)
-  int sessions = 2;     ///< serve: concurrent session workers
-  int cache_mb = 64;    ///< serve: stream-cache byte budget in MiB
-  std::string payload_dir;  ///< serve pipe mode: mirror payloads here
-  std::string req_kind = "lint";  ///< submit: request kind
-  std::string req_id = "cli";     ///< submit: client-chosen request id
-  std::string kernel_name;        ///< raw --kernel text (submit forwards it)
-  std::string size_spec = "256M";  ///< memtest: buffer size text
-  int passes = 1;                  ///< memtest: full sweeps of the buffer
-  int backgrounds = 0;      ///< memtest: data backgrounds (0 = all standard)
-  std::string backend_name;  ///< soc/field/memtest: --backend sim|hostram
-  bool huge_pages = false;   ///< memtest: request huge pages (hostram)
-  bool inject = false;       ///< memtest: flip one bit mid-run (self-test)
+struct Command {
+  std::string_view name;
+  std::string_view summary;
+  int (*run)(const Invocation&);
+  /// The request kind whose rows the command takes, besides its own rows.
+  std::optional<RequestKind> kind;
+  std::vector<Row> rows;
 };
 
-void print_usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: pmbist <command> [<algorithm|dsl>] [options]\n"
-      "\n"
-      "commands:\n"
-      "  list            library algorithms, complexity, qualification\n"
-      "  assemble        compile an algorithm, print the program listing\n"
-      "  qualify         static detection guarantees per fault class\n"
-      "  run             cycle-accurate BIST run on one memory\n"
-      "  area            area report of all architectures for a geometry\n"
-      "  coverage        fault-simulation campaign for one algorithm\n"
-      "  export          hardwired/programmable controller as Verilog\n"
-      "  export-decoder  microcode decoder + pFSM lower controller Verilog\n"
-      "  soc             whole-chip scheduled BIST from a chip file\n"
-      "  field           in-field transparent BIST inside idle windows\n"
-      "  memtest         march-test a block of host RAM (docs/BACKEND.md)\n"
-      "  lint            static verifier for march / ucode / pFSM / chip /\n"
-      "                  mission-profile inputs\n"
-      "  serve           long-running BIST service (JSON requests in, JSON\n"
-      "                  events out; docs/SERVE.md)\n"
-      "  submit          send one request to a running `pmbist serve --port`\n"
-      "                  and stream its events to stdout\n"
-      "\n"
-      "options:\n"
-      "  --arch ucode|pfsm|hardwired   controller architecture\n"
-      "  --addr-bits N  --word-bits N  --ports N\n"
-      "  --fault CLASS (SAF,TF,CFin,CFid,CFst,AF,SOF,DRF,IRF,WDF,RDF,DRDF)\n"
-      "  --samples N   --seed N        --flat (no Repeat fold)\n"
-      "  --program FILE  hex microcode image for run\n"
-      "  --jobs N      worker count, soc/campaign/qualifier (0 = all cores)\n"
-      "  --kernel scalar|packed  campaign inner loop (default packed: 64\n"
-      "                fault instances per pass; identical results)\n"
-      "\n"
-      "soc options:\n"
-      "  --chip FILE        chip description (docs/SOC.md; default: demo)\n"
-      "  --power-budget W   override the chip file's power budget\n"
-      "  --max-failures N   per-session failure-log capacity\n"
-      "  --certify          re-verify the schedule with the certificate\n"
-      "                     checker (report on stderr; exit 1 on errors)\n"
-      "  --emit-schedule F  write the computed schedule to F (.schedule)\n"
-      "  --backend sim|hostram  memory-under-test backend (default sim;\n"
-      "                     hostram needs a fault-free chip)\n"
-      "\n"
-      "field options:\n"
-      "  --chip FILE        chip description (docs/SOC.md; default: demo)\n"
-      "  --profile FILE     mission profile (docs/FIELD.md; default: demo)\n"
-      "  --max-failures N   per-instance failure-log capacity\n"
-      "  --certify          re-verify the session table with the certificate\n"
-      "                     checker (report on stderr; exit 1 on errors)\n"
-      "  --emit-schedule F  write the session table to F (.fieldsched)\n"
-      "  --backend sim|hostram  memory-under-test backend (default sim;\n"
-      "                     hostram needs a fault-free chip)\n"
-      "\n"
-      "memtest options (positional algorithm defaults to March C):\n"
-      "  --size BYTES       buffer size, K/M/G suffixes (default 256M);\n"
-      "                     rounded down to a power-of-two word count\n"
-      "  --passes N         full sweeps of the buffer (default 1)\n"
-      "  --backgrounds N    data backgrounds, 0 = all 7 standard (default)\n"
-      "  --backend sim|hostram  hostram (default) maps anonymous host\n"
-      "                     memory; sim runs the behavioral simulator\n"
-      "  --huge-pages       ask for huge pages (graceful fallback)\n"
-      "  --inject           flip one bit mid-run; the run must FAIL\n"
-      "  --max-failures N   mismatch-log capacity (default 1024)\n"
-      "\n"
-      "lint options:\n"
-      "  --json             machine-readable diagnostics on stdout\n"
-      "  --chip FILE        chip file a mission profile or schedule is\n"
-      "                     checked against\n"
-      "  --profile FILE     mission profile a field schedule is certified\n"
-      "                     against\n"
-      "  --storage-depth N  microcode storage words assumed (default 32)\n"
-      "  --buffer-depth N   pFSM buffer rows assumed (default 16)\n"
-      "  --against SRC      translation validation: prove a controller image\n"
-      "                     realizes SRC (march file, library name or DSL)\n"
-      "  --certify          chip/profile inputs: also compute and certify\n"
-      "                     the schedule behind the input (SC codes)\n"
-      "  --fix              rewrite the input file with the mechanical fixes\n"
-      "                     (dead code / unused rows / no-op sweeps / dead\n"
-      "                     spares / infeasible power budgets)\n"
-      "\n"
-      "serve options:\n"
-      "  --port N           serve loopback TCP (0 = ephemeral port; default:\n"
-      "                     pipe mode on stdin/stdout)\n"
-      "  --sessions N       concurrent session workers (default 2)\n"
-      "  --cache-mb N       op-stream cache budget in MiB (default 64)\n"
-      "  --payload-dir DIR  pipe mode: mirror result payloads to DIR/<id>.out\n"
-      "  --certify          certify every soc/field schedule before replying\n"
-      "                     (a violation fails the request with an error)\n"
-      "\n"
-      "submit options (plus the flags of the mirrored command):\n"
-      "  --port N           the serve loopback TCP port (required)\n"
-      "  --req KIND         campaign|soc|field|memtest|lint|cancel|stats\n"
-      "                     (default lint); the positional argument is the\n"
-      "                     lint input, campaign/memtest algorithm, or\n"
-      "                     cancel target\n"
-      "  --id ID            client-chosen request id (default cli)\n"
-      "                     exit code: the result event's exit field;\n"
-      "                     2 on error events, 1 on cancelled\n"
-      "\n"
-      "exit codes: 0 success, 1 check failed, 2 usage/input error\n"
-      "`pmbist --help` or `pmbist <command> --help` prints this text.\n");
+const std::vector<Command>& commands();
+
+/// A command's flag set: its own rows, then its kind's (without the wire
+/// fields that have no flag).
+std::vector<Row> flag_set(const Command& cmd,
+                          std::optional<RequestKind> kind, bool wire_only) {
+  std::vector<Row> rows = cmd.rows;
+  if (kind)
+    for (const Row& row : serve::rows_of(*kind))
+      if ((!row.flag.empty() || row.positional) &&
+          !(wire_only && row.name.empty()))
+        rows.push_back(row);
+  return rows;
 }
 
-[[noreturn]] void usage(const char* why = nullptr) {
-  if (why) std::fprintf(stderr, "error: %s\n\n", why);
+void print_usage(std::FILE* out) {
+  std::fprintf(out, "usage: pmbist <command> [<argument>] [options]\n");
+  for (const Command& cmd : commands()) {
+    std::fprintf(out, "\n%s: %s\n", std::string(cmd.name).c_str(),
+                 std::string(cmd.summary).c_str());
+    for (const Row& row : flag_set(cmd, cmd.kind, false)) {
+      const bool is_bool = std::holds_alternative<Get<bool>>(row.slot);
+      std::string left{row.flag.empty() ? row.meta : row.flag};
+      if (!row.flag.empty() && !is_bool) left.append(" ").append(row.meta);
+      std::string help{row.help};
+      if (!row.def.empty() && !is_bool)
+        help.append(" (default ").append(row.def).append(")");
+      std::fprintf(out, "  %-22s %s\n", left.c_str(), help.c_str());
+    }
+  }
+  std::fprintf(out,
+               "\nexit codes: 0 success, 1 check failed, 2 usage/input error;"
+               "\nsubmit exits with the result's code, 2 on error, 1 on "
+               "cancelled.\n`pmbist --help` or `pmbist <command> --help` "
+               "prints this text.\n");
+}
+
+[[noreturn]] void usage(const std::string& why = {}) {
+  if (!why.empty()) std::fprintf(stderr, "error: %s\n\n", why.c_str());
   print_usage(stderr);
   std::exit(2);
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  // `--help` anywhere (and the bare `help` command) wins over everything
-  // else: print the usage text on stdout and exit 0, uniformly across
-  // subcommands.
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--help") == 0 || std::strcmp(argv[a], "-h") == 0) {
-      print_usage(stdout);
-      std::exit(0);
-    }
-  }
-  if (argc < 2) usage();
-  opt.command = argv[1];
-  if (opt.command == "help") {
-    print_usage(stdout);
-    std::exit(0);
-  }
-  int i = 2;
-  if (i < argc && argv[i][0] != '-') opt.algorithm = argv[i++];
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--arch") opt.arch = value();
-    else if (arg == "--addr-bits") opt.addr_bits = std::atoi(value());
-    else if (arg == "--word-bits") opt.word_bits = std::atoi(value());
-    else if (arg == "--ports") opt.ports = std::atoi(value());
-    else if (arg == "--samples") opt.samples = std::atoi(value());
-    else if (arg == "--jobs") opt.jobs = std::atoi(value());
-    else if (arg == "--kernel") {
-      opt.kernel_name = value();
-      const auto kernel = march::parse_kernel(opt.kernel_name);
-      if (!kernel) usage("--kernel expects scalar, packed or auto");
-      opt.kernel = *kernel;
-    }
-    else if (arg == "--seed") opt.seed = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--fault") opt.fault_class = value();
-    else if (arg == "--program") opt.program_file = value();
-    else if (arg == "--chip") opt.chip_file = value();
-    else if (arg == "--profile") opt.profile_file = value();
-    else if (arg == "--power-budget") opt.power_budget = std::atof(value());
-    else if (arg == "--max-failures")
-      opt.max_failures = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--flat") opt.flat = true;
-    else if (arg == "--hex") opt.hex = true;
-    else if (arg == "--json") opt.json = true;
-    else if (arg == "--storage-depth") opt.storage_depth = std::atoi(value());
-    else if (arg == "--buffer-depth") opt.buffer_depth = std::atoi(value());
-    else if (arg == "--against") opt.against = value();
-    else if (arg == "--fix") opt.fix = true;
-    else if (arg == "--certify") opt.certify = true;
-    else if (arg == "--emit-schedule") opt.emit_schedule = value();
-    else if (arg == "--port") opt.port = std::atoi(value());
-    else if (arg == "--sessions") opt.sessions = std::atoi(value());
-    else if (arg == "--cache-mb") opt.cache_mb = std::atoi(value());
-    else if (arg == "--payload-dir") opt.payload_dir = value();
-    else if (arg == "--req") opt.req_kind = value();
-    else if (arg == "--id") opt.req_id = value();
-    else if (arg == "--size") opt.size_spec = value();
-    else if (arg == "--passes") opt.passes = std::atoi(value());
-    else if (arg == "--backgrounds") opt.backgrounds = std::atoi(value());
-    else if (arg == "--backend") opt.backend_name = value();
-    else if (arg == "--huge-pages") opt.huge_pages = true;
-    else if (arg == "--inject") opt.inject = true;
-    else usage(("unknown option " + arg).c_str());
-  }
-  return opt;
+std::optional<std::string> slurp(const std::string& path) {
+  std::ifstream is{path};
+  if (!is) return std::nullopt;
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
 }
 
-/// Resolves a `--backend` flag; empty text keeps the command's default.
-backend::BackendKind backend_of(const Options& opt,
-                                backend::BackendKind fallback) {
-  if (opt.backend_name.empty()) return fallback;
-  const auto parsed = backend::parse_backend(opt.backend_name);
-  if (!parsed)
-    usage(("--backend expects sim or hostram, not " + opt.backend_name)
-              .c_str());
-  return *parsed;
+std::string read_file(const std::string& path) {
+  if (auto text = slurp(path)) return *text;
+  usage("cannot open " + path);
 }
 
-march::MarchAlgorithm resolve_algorithm(const std::string& name) {
+/// Sets `row` from one command-line argument, reading the file its Form
+/// names first.
+void set_from_cli(const Row& row, Invocation& inv, const std::string& arg) {
+  std::string text = arg;
+  if (row.form == Form::File) {
+    text = read_file(arg);
+  } else if (row.form == Form::PathOrInline || row.form == Form::Input) {
+    if (auto contents = slurp(arg)) {
+      text = std::move(*contents);
+      if (row.form == Form::Input) inv.req.unit = arg;
+    }
+  }
   try {
-    return march::by_name(name);
-  } catch (const std::out_of_range&) {
-    return march::parse(name, "custom");
+    serve::set_text(row, inv, text);
+  } catch (const serve::ProtocolError& e) {
+    usage(e.what());
   }
 }
 
-memsim::MemoryGeometry geometry_of(const Options& opt) {
-  return memsim::MemoryGeometry{.address_bits = opt.addr_bits,
-                                .word_bits = opt.word_bits,
-                                .num_ports = opt.ports};
+/// Parses argv[2..] against `rows`; `who` names the command in errors.
+/// Required positionals must be given; with `all_required` (submit),
+/// every required row must.
+Invocation parse(const std::string& who, const std::vector<Row>& rows,
+                 bool all_required, int argc, char** argv) {
+  Invocation inv;
+  for (const Row& row : rows)
+    if (!row.def.empty()) serve::set_text(row, inv, row.def);
+  std::vector<bool> given(rows.size(), false);
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const bool is_flag = arg.starts_with('-');
+    std::size_t r = 0;
+    while (r < rows.size() &&
+           !(is_flag ? rows[r].flag == arg
+                     : rows[r].positional && !given[r]))
+      ++r;
+    if (r == rows.size())
+      usage(who + (is_flag ? " does not take " : " takes no argument ") +
+            arg);
+    given[r] = true;
+    std::string text = arg;
+    if (is_flag && std::holds_alternative<Get<bool>>(rows[r].slot))
+      text = "true";
+    else if (is_flag && i + 1 < argc)
+      text = argv[++i];
+    else if (is_flag)
+      usage("missing value for " + arg);
+    set_from_cli(rows[r], inv, text);
+  }
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    if (rows[r].required && !given[r] && (all_required || rows[r].positional))
+      usage(who + " needs " +
+            std::string(rows[r].flag.empty() ? rows[r].meta : rows[r].flag));
+  return inv;
 }
 
-int cmd_list(const Options& opt) {
+int cmd_list(const Invocation& inv) {
   const auto algorithms = march::all_algorithms();
   std::printf("%-16s %5s %8s %8s\n", "algorithm", "ops/n", "ucode", "pFSM");
   for (const auto& alg : algorithms) {
@@ -381,30 +205,30 @@ int cmd_list(const Options& opt) {
   std::printf("static qualification (G guaranteed / p partial / - none):\n");
   const auto& classes = memsim::all_fault_classes();
   std::printf("%s",
-              march::format_analysis_table(algorithms, classes, opt.jobs)
+              march::format_analysis_table(algorithms, classes, inv.req.jobs)
                   .c_str());
   return 0;
 }
 
-int cmd_assemble(const Options& opt) {
-  const auto alg = resolve_algorithm(opt.algorithm);
-  if (opt.arch == "pfsm") {
+int cmd_assemble(const Invocation& inv) {
+  const auto alg = soc::resolve_algorithm(inv.req.algorithm);
+  if (inv.cli.arch == "pfsm") {
     const auto r = mbist_pfsm::compile(alg);
-    std::printf("%s", opt.hex ? r.program.to_hex_text().c_str()
-                              : r.program.listing().c_str());
+    std::printf("%s", inv.cli.hex ? r.program.to_hex_text().c_str()
+                                  : r.program.listing().c_str());
     return 0;
   }
   const auto r = mbist_ucode::assemble(
-      alg, {.symmetric_encoding = !opt.flat});
-  std::printf("%s", opt.hex ? r.program.to_hex_text().c_str()
-                            : r.program.listing().c_str());
+      alg, {.symmetric_encoding = !inv.cli.flat});
+  std::printf("%s", inv.cli.hex ? r.program.to_hex_text().c_str()
+                                : r.program.listing().c_str());
   return 0;
 }
 
-int cmd_qualify(const Options& opt) {
-  const auto alg = resolve_algorithm(opt.algorithm);
+int cmd_qualify(const Invocation& inv) {
+  const auto alg = soc::resolve_algorithm(inv.req.algorithm);
   std::printf("%s = %s\n\n", alg.name().c_str(), alg.to_string().c_str());
-  const auto verdicts = march::analyze_all(alg, opt.jobs);
+  const auto verdicts = march::analyze_all(alg, inv.req.jobs);
   for (auto cls : memsim::all_fault_classes()) {
     std::printf("  %-5s %s\n",
                 std::string(memsim::fault_class_name(cls)).c_str(),
@@ -413,66 +237,54 @@ int cmd_qualify(const Options& opt) {
   return 0;
 }
 
-memsim::FaultClass class_by_name(const std::string& name) {
-  for (auto cls : memsim::all_fault_classes())
-    if (memsim::fault_class_name(cls) == name) return cls;
-  usage(("unknown fault class " + name).c_str());
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is{path};
-  if (!is) usage(("cannot open " + path).c_str());
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-int cmd_run(const Options& opt) {
-  const bool from_image = !opt.program_file.empty();
+int cmd_run(const Invocation& inv) {
+  const std::string& program = inv.cli.program;
+  const bool from_image = !program.empty();
+  if (!from_image && inv.req.algorithm.empty())
+    usage("run needs <algorithm|dsl> or --program FILE");
   const auto alg = from_image ? march::march_c()  // placeholder, unused
-                              : resolve_algorithm(opt.algorithm);
-  const auto geometry = geometry_of(opt);
+                              : soc::resolve_algorithm(inv.req.algorithm);
+  const auto& geometry = inv.req.geometry;
 
   std::unique_ptr<bist::Controller> controller;
   if (from_image) {
     auto c = std::make_unique<mbist_ucode::MicrocodeController>(
         mbist_ucode::ControllerConfig{.geometry = geometry,
                                       .storage_depth = 64});
-    c->load(mbist_ucode::MicrocodeProgram::from_hex_text(
-        read_file(opt.program_file)));
+    c->load(mbist_ucode::MicrocodeProgram::from_hex_text(read_file(program)));
     std::printf("loaded image '%s' (%d instructions)\n",
                 c->program().name().c_str(), c->program().size());
     controller = std::move(c);
-  } else if (opt.arch == "ucode") {
+  } else if (inv.cli.arch == "ucode") {
     auto c = std::make_unique<mbist_ucode::MicrocodeController>(
         mbist_ucode::ControllerConfig{.geometry = geometry,
                                       .storage_depth = 64});
-    c->load_algorithm(alg, {.symmetric_encoding = !opt.flat});
+    c->load_algorithm(alg, {.symmetric_encoding = !inv.cli.flat});
     controller = std::move(c);
-  } else if (opt.arch == "pfsm") {
+  } else if (inv.cli.arch == "pfsm") {
     auto c = std::make_unique<mbist_pfsm::PfsmController>(
         mbist_pfsm::PfsmConfig{.geometry = geometry, .buffer_depth = 32});
     c->load_algorithm(alg);
     controller = std::move(c);
-  } else if (opt.arch == "hardwired") {
+  } else if (inv.cli.arch == "hardwired") {
     controller = std::make_unique<mbist_hardwired::HardwiredController>(
         alg, mbist_hardwired::HardwiredConfig{.geometry = geometry});
   } else {
     usage("unknown --arch");
   }
 
-  memsim::FaultyMemory memory{geometry, opt.seed};
-  if (!opt.fault_class.empty()) {
+  const std::uint64_t seed = inv.req.seed;
+  memsim::FaultyMemory memory{geometry, seed};
+  if (!inv.req.fault_classes.empty()) {
     const auto universe = march::make_fault_universe(
-        class_by_name(opt.fault_class), geometry, opt.seed, 64);
-    const auto& fault = universe[opt.seed % universe.size()];
+        serve::fault_classes(inv.req).front(), geometry, seed, 64);
+    const auto& fault = universe[seed % universe.size()];
     memory.add_fault(fault);
     std::printf("injected: %s\n", memsim::describe(fault).c_str());
   }
 
   const auto result = bist::run_session(*controller, memory);
-  const std::string label =
-      from_image ? "hex image " + opt.program_file : alg.name();
+  const std::string label = from_image ? "hex image " + program : alg.name();
   std::printf("%s on %s: %s\n", controller->name().c_str(), label.c_str(),
               result.passed() ? "PASS" : "FAIL");
   std::printf("  cycles=%llu reads=%llu writes=%llu pauses=%llu\n",
@@ -489,8 +301,8 @@ int cmd_run(const Options& opt) {
   return result.passed() ? 0 : 1;
 }
 
-int cmd_area(const Options& opt) {
-  const auto geometry = geometry_of(opt);
+int cmd_area(const Invocation& inv) {
+  const auto& geometry = inv.req.geometry;
   const auto lib = netlist::TechLibrary::cmos5s();
 
   mbist_ucode::AreaConfig uc{.geometry = geometry};
@@ -509,21 +321,21 @@ int cmd_area(const Options& opt) {
   return 0;
 }
 
-int cmd_coverage(const Options& opt) {
-  const auto alg = resolve_algorithm(opt.algorithm);
-  const auto geometry = geometry_of(opt);
-  const march::CoverageOptions copts{.seed = opt.seed,
-                                     .max_instances_per_class = opt.samples,
-                                     .jobs = opt.jobs,
-                                     .kernel = opt.kernel};
-  const std::vector<march::MarchAlgorithm> algs{alg};
-  const auto& classes = memsim::all_fault_classes();
-  const auto rows = march::coverage_matrix(algs, classes, geometry, copts);
+int cmd_coverage(const Invocation& inv) {
+  const auto& req = inv.req;
+  const march::CoverageOptions copts{.seed = req.seed,
+                                     .max_instances_per_class = req.samples,
+                                     .jobs = req.jobs,
+                                     .kernel = req.kernel};
+  const std::vector<march::MarchAlgorithm> algs{
+      soc::resolve_algorithm(req.algorithm)};
+  const auto classes = serve::fault_classes(req);
+  const auto rows = march::coverage_matrix(algs, classes, req.geometry, copts);
   std::printf("%s", march::format_coverage_table(rows, classes).c_str());
   return 0;
 }
 
-int cmd_export_decoder() {
+int cmd_export_decoder(const Invocation&) {
   std::vector<netlist::SopOutput> outputs;
   for (const auto& d : mbist_ucode::decoder_covers())
     outputs.push_back({d.name, d.cover});
@@ -539,19 +351,19 @@ int cmd_export_decoder() {
   return 0;
 }
 
-int cmd_export(const Options& opt) {
-  if (opt.algorithm.empty()) {
+int cmd_export(const Invocation& inv) {
+  if (inv.req.algorithm.empty()) {
     // No algorithm: emit the full programmable unit (storage, decoder,
     // datapath) — it runs any algorithm, so none is needed.
     std::printf("%s",
                 mbist_ucode::emit_controller_rtl(
-                    {.geometry = geometry_of(opt), .storage_depth = 32})
+                    {.geometry = inv.req.geometry, .storage_depth = 32})
                     .c_str());
     return 0;
   }
-  const auto alg = resolve_algorithm(opt.algorithm);
+  const auto alg = soc::resolve_algorithm(inv.req.algorithm);
   const auto fsm = mbist_hardwired::generate_fsm(
-      alg, mbist_hardwired::HardwiredFeatures::for_geometry(geometry_of(opt)));
+      alg, mbist_hardwired::HardwiredFeatures::for_geometry(inv.req.geometry));
   std::printf("%s", netlist::emit_fsm_module(
                         fsm, "bist_" + netlist::verilog_identifier(
                                            alg.name()) + "_ctrl")
@@ -559,74 +371,40 @@ int cmd_export(const Options& opt) {
   return 0;
 }
 
-int cmd_lint(const Options& opt) {
-  // The positional argument is a path when it opens as a file, otherwise
-  // inline text (a library algorithm name or DSL string).
-  std::string text;
-  std::string unit;
-  if (std::ifstream probe{opt.algorithm}; probe) {
-    std::ostringstream os;
-    os << probe.rdbuf();
-    text = os.str();
-    unit = opt.algorithm;
-  } else {
-    text = opt.algorithm;
-    unit = "input";
-  }
-  if (opt.fix) {
-    if (unit == "input") {
+int cmd_lint(const Invocation& inv) {
+  serve::Request req = inv.req;
+  // `unit` is the input's path when the positional opened as a file.
+  if (inv.cli.fix) {
+    if (req.unit == "input") {
       std::fprintf(stderr,
                    "error: --fix rewrites the input in place and needs a "
                    "file argument\n");
       return 2;
     }
-    const lint::FixResult fixed = lint::fix_text(text, unit);
-    std::printf("%s: %s\n", unit.c_str(), fixed.summary.c_str());
+    const lint::FixResult fixed = lint::fix_text(req.input, req.unit);
+    std::printf("%s: %s\n", req.unit.c_str(), fixed.summary.c_str());
     if (fixed.changed) {
-      std::ofstream out{opt.algorithm, std::ios::trunc};
+      std::ofstream out{req.unit, std::ios::trunc};
       if (!out) {
-        std::fprintf(stderr, "error: cannot rewrite %s\n",
-                     opt.algorithm.c_str());
+        std::fprintf(stderr, "error: cannot rewrite %s\n", req.unit.c_str());
         return 2;
       }
       out << fixed.text;
-      text = fixed.text;
+      req.input = fixed.text;
     }
   }
-  // --against accepts a path (e.g. a .march file) or inline text, like the
-  // positional input.
-  std::string against = opt.against;
-  if (!against.empty()) {
-    if (std::ifstream probe{against}; probe) {
-      std::ostringstream os;
-      os << probe.rdbuf();
-      against = os.str();
-    }
-  }
-  // --chip and --profile (for mission profiles and schedules) are always
-  // paths.
-  std::string chip_text;
-  if (!opt.chip_file.empty()) chip_text = read_file(opt.chip_file);
-  std::string profile_text;
-  if (!opt.profile_file.empty()) profile_text = read_file(opt.profile_file);
-  const lint::LintOptions lopts{.storage_depth = opt.storage_depth,
-                                .buffer_depth = opt.buffer_depth,
-                                .chip = chip_text,
-                                .profile = profile_text,
-                                .certify = opt.certify,
-                                .against = against};
-  const lint::Report report = lint::lint_text(text, unit, lopts);
-  // format_cli is shared with the serve layer: serve lint payloads are
-  // byte-identical to this stdout by construction.
-  std::fputs(lint::format_cli(report, unit, opt.json).c_str(), stdout);
-  return report.has_errors() ? 1 : 0;
+  // Shared with the serve layer: serve lint payloads are byte-identical to
+  // this stdout by construction.
+  const auto verdict = serve::lint_verdict(req);
+  std::fputs(verdict.payload.c_str(), stdout);
+  return verdict.exit_code;
 }
 
 /// Writes `text` to `path` (for --emit-schedule); exits 2 when the file
 /// cannot be created.
 void write_file(const std::string& path, const std::string& text) {
   std::ofstream out{path, std::ios::trunc};
-  if (!out) usage(("cannot write " + path).c_str());
+  if (!out) usage("cannot write " + path);
   out << text;
 }
 
@@ -641,21 +419,21 @@ bool certificate_failed(const lint::Report& report, const char* what) {
   return report.has_errors();
 }
 
-int cmd_soc(const Options& opt) {
-  soc::ChipFile chip;
-  if (opt.chip_file.empty()) {
-    chip = {soc::demo_soc(), soc::demo_plan()};
-    std::printf("no --chip given: running the built-in demo chip\n");
-  } else {
-    chip = soc::load_chip_file(opt.chip_file);
-  }
-  if (opt.power_budget >= 0.0) chip.plan.set_power_budget(opt.power_budget);
+soc::ChipFile chip_of(const serve::Request& req) {
+  if (!req.chip.empty()) return soc::parse_chip(req.chip);
+  std::printf("no --chip given: running the built-in demo chip\n");
+  return {soc::demo_soc(), soc::demo_plan()};
+}
 
-  const auto result = soc::run_soc(
-      chip.description, chip.plan,
-      {.jobs = opt.jobs,
-       .max_failures = opt.max_failures,
-       .backend = backend_of(opt, backend::BackendKind::Sim)});
+int cmd_soc(const Invocation& inv) {
+  const serve::Request& req = inv.req;
+  soc::ChipFile chip = chip_of(req);
+  if (req.power_budget >= 0.0) chip.plan.set_power_budget(req.power_budget);
+
+  const auto result = soc::run_soc(chip.description, chip.plan,
+                                   {.jobs = req.jobs,
+                                    .max_failures = req.max_failures,
+                                    .backend = req.backend});
 
   // The report body is shared with the serve layer (byte-identical serve
   // payloads); wall time is host noise, so it goes to stderr.
@@ -663,10 +441,10 @@ int cmd_soc(const Options& opt) {
                  .c_str(),
              stdout);
   std::fprintf(stderr, "wall %.3f s\n", result.wall_seconds);
-  if (!opt.emit_schedule.empty())
-    write_file(opt.emit_schedule,
+  if (!inv.cli.emit_schedule.empty())
+    write_file(inv.cli.emit_schedule,
                soc::to_schedule_text("soc", result.schedule));
-  if (opt.certify &&
+  if (req.certify &&
       certificate_failed(
           lint::certify_soc(chip.description, chip.plan, result.schedule),
           "soc schedule"))
@@ -674,35 +452,29 @@ int cmd_soc(const Options& opt) {
   return result.all_healthy() ? 0 : 1;
 }
 
-int cmd_field(const Options& opt) {
-  soc::ChipFile chip;
+int cmd_field(const Invocation& inv) {
+  const serve::Request& req = inv.req;
+  const soc::ChipFile chip = chip_of(req);
   field::MissionProfile profile;
-  if (opt.chip_file.empty()) {
-    chip = {soc::demo_soc(), soc::demo_plan()};
-    std::printf("no --chip given: running the built-in demo chip\n");
-  } else {
-    chip = soc::load_chip_file(opt.chip_file);
-  }
-  if (opt.profile_file.empty()) {
+  if (req.profile.empty()) {
     profile = field::demo_profile();
     std::printf("no --profile given: using the built-in demo profile\n");
   } else {
-    profile = field::load_profile_file(opt.profile_file);
+    profile = field::parse_profile_text(req.profile);
   }
 
-  const auto report = field::run_field(
-      chip.description, chip.plan, profile,
-      {.jobs = opt.jobs,
-       .max_failures = opt.max_failures,
-       .backend = backend_of(opt, backend::BackendKind::Sim)});
+  const auto report = field::run_field(chip.description, chip.plan, profile,
+                                       {.jobs = req.jobs,
+                                        .max_failures = req.max_failures,
+                                        .backend = req.backend});
 
   // Shared with the serve layer, same as cmd_soc.
   std::fputs(field::format_field_report(report).c_str(), stdout);
   std::fprintf(stderr, "wall %.3f s\n", report.wall_seconds);
-  if (!opt.emit_schedule.empty())
-    write_file(opt.emit_schedule,
+  if (!inv.cli.emit_schedule.empty())
+    write_file(inv.cli.emit_schedule,
                field::to_field_schedule_text("field", report.sessions));
-  if (opt.certify &&
+  if (req.certify &&
       certificate_failed(
           lint::certify_field(chip.description, chip.plan, profile, report),
           "field schedule"))
@@ -710,24 +482,19 @@ int cmd_field(const Options& opt) {
   return report.all_healthy() ? 0 : 1;
 }
 
-int cmd_memtest(const Options& opt) {
-  const auto alg = resolve_algorithm(
-      opt.algorithm.empty() ? "March C" : opt.algorithm);
-  const auto size = backend::parse_size_bytes(opt.size_spec);
-  if (!size)
-    usage(("--size expects BYTES with an optional K/M/G suffix, not " +
-           opt.size_spec)
-              .c_str());
+int cmd_memtest(const Invocation& inv) {
+  const serve::Request& req = inv.req;
   backend::MemtestOptions mopts;
-  mopts.size_bytes = *size;
-  mopts.passes = opt.passes;
-  mopts.backgrounds = opt.backgrounds;
-  mopts.jobs = opt.jobs;
-  mopts.backend = backend_of(opt, backend::BackendKind::HostRam);
-  mopts.huge_pages = opt.huge_pages;
-  mopts.max_failures = opt.max_failures;
-  mopts.inject_error = opt.inject;
-  const auto report = backend::run_memtest(alg, mopts);
+  mopts.size_bytes = inv.cli.size_bytes;
+  mopts.passes = req.passes;
+  mopts.backgrounds = req.backgrounds;
+  mopts.jobs = req.jobs;
+  mopts.backend = req.backend;
+  mopts.huge_pages = inv.cli.huge_pages;
+  mopts.max_failures = req.max_failures;
+  mopts.inject_error = inv.cli.inject;
+  const auto report =
+      backend::run_memtest(soc::resolve_algorithm(req.algorithm), mopts);
   // The deterministic report is shared with the serve layer (byte-identical
   // payloads); throughput is host noise, so it goes to stderr like the
   // soc/field wall line.
@@ -736,18 +503,17 @@ int cmd_memtest(const Options& opt) {
   return report.passed() ? 0 : 1;
 }
 
-int cmd_serve(const Options& opt) {
+int cmd_serve(const Invocation& inv) {
   serve::ServerOptions sopts;
-  sopts.sessions = opt.sessions;
-  sopts.stream_cache_bytes =
-      static_cast<std::size_t>(opt.cache_mb < 0 ? 0 : opt.cache_mb) << 20;
-  sopts.certify = opt.certify;
+  sopts.sessions = inv.cli.sessions;
+  sopts.stream_cache_bytes = static_cast<std::size_t>(inv.cli.cache_mb) << 20;
+  sopts.certify = inv.req.certify;
   serve::Server server{sopts};
 
-  if (opt.port >= 0) {
+  if (inv.cli.port >= 0) {
     std::string error;
     const int rc = server.serve_tcp(
-        opt.port,
+        inv.cli.port,
         [](int bound) {
           std::fprintf(stderr, "serving on 127.0.0.1:%d\n", bound);
         },
@@ -758,126 +524,18 @@ int cmd_serve(const Options& opt) {
     }
     return 0;
   }
-  server.run_pipe(std::cin, std::cout, opt.payload_dir);
+  server.run_pipe(std::cin, std::cout, inv.cli.payload_dir);
   return 0;
 }
 
-/// Builds the serve request line a `pmbist submit` invocation stands for.
-/// Field names and defaults mirror src/serve/protocol.cpp exactly; fields
-/// a kind does not whitelist are never emitted (the server hard-errors on
-/// unknown fields).
-std::string submit_request_line(const Options& opt) {
-  namespace json = common::json;
-  const std::string& kind = opt.req_kind;
-  if (kind != "campaign" && kind != "soc" && kind != "field" &&
-      kind != "memtest" && kind != "lint" && kind != "cancel" &&
-      kind != "stats")
-    usage(("--req expects campaign, soc, field, memtest, lint, cancel or "
-           "stats, not " + kind).c_str());
-
-  // Like cmd_lint's positional: a path when it opens, else inline text.
-  auto file_or_inline = [](const std::string& arg, std::string* unit) {
-    if (std::ifstream probe{arg}; probe) {
-      std::ostringstream os;
-      os << probe.rdbuf();
-      if (unit != nullptr) *unit = arg;
-      return os.str();
-    }
-    return arg;
-  };
-
-  json::Value req = json::Value::object();
-  req.set("id", json::Value::string(opt.req_id));
-  req.set("kind", json::Value::string(kind));
-  if (kind == "lint") {
-    if (opt.algorithm.empty())
-      usage("submit --req lint needs an input file or inline text");
-    std::string unit = "input";
-    req.set("input",
-            json::Value::string(file_or_inline(opt.algorithm, &unit)));
-    req.set("unit", json::Value::string(unit));
-    if (opt.json) req.set("json", json::Value::boolean(true));
-    req.set("storage_depth",
-            json::Value::number(static_cast<std::int64_t>(opt.storage_depth)));
-    req.set("buffer_depth",
-            json::Value::number(static_cast<std::int64_t>(opt.buffer_depth)));
-    if (!opt.against.empty())
-      req.set("against",
-              json::Value::string(file_or_inline(opt.against, nullptr)));
-    if (!opt.chip_file.empty())
-      req.set("chip", json::Value::string(read_file(opt.chip_file)));
-    if (!opt.profile_file.empty())
-      req.set("profile", json::Value::string(read_file(opt.profile_file)));
-    if (opt.certify) req.set("certify", json::Value::boolean(true));
-  } else if (kind == "campaign") {
-    if (opt.algorithm.empty())
-      usage("submit --req campaign needs an algorithm name or DSL string");
-    req.set("algorithm", json::Value::string(opt.algorithm));
-    req.set("addr_bits",
-            json::Value::number(static_cast<std::int64_t>(opt.addr_bits)));
-    req.set("word_bits",
-            json::Value::number(static_cast<std::int64_t>(opt.word_bits)));
-    req.set("ports",
-            json::Value::number(static_cast<std::int64_t>(opt.ports)));
-    req.set("samples",
-            json::Value::number(static_cast<std::int64_t>(opt.samples)));
-    req.set("seed", json::Value::number(opt.seed));
-    req.set("jobs", json::Value::number(static_cast<std::int64_t>(opt.jobs)));
-    if (!opt.kernel_name.empty())
-      req.set("kernel", json::Value::string(opt.kernel_name));
-    if (!opt.fault_class.empty()) {
-      json::Value classes = json::Value::array();
-      classes.push(json::Value::string(opt.fault_class));
-      req.set("classes", std::move(classes));
-    }
-  } else if (kind == "soc" || kind == "field") {
-    if (opt.chip_file.empty())
-      usage(("submit --req " + kind + " needs --chip FILE").c_str());
-    req.set("chip", json::Value::string(read_file(opt.chip_file)));
-    if (kind == "field") {
-      if (opt.profile_file.empty())
-        usage("submit --req field needs --profile FILE");
-      req.set("profile", json::Value::string(read_file(opt.profile_file)));
-    }
-    req.set("jobs", json::Value::number(static_cast<std::int64_t>(opt.jobs)));
-    if (kind == "soc" && opt.power_budget >= 0.0)
-      req.set("power_budget", json::Value::number(opt.power_budget));
-    req.set("max_failures",
-            json::Value::number(
-                static_cast<std::uint64_t>(opt.max_failures)));
-  } else if (kind == "memtest") {
-    if (!opt.algorithm.empty())
-      req.set("algorithm", json::Value::string(opt.algorithm));
-    const auto size = backend::parse_size_bytes(opt.size_spec);
-    if (!size)
-      usage(("--size expects BYTES with an optional K/M/G suffix, not " +
-             opt.size_spec)
-                .c_str());
-    const std::uint64_t size_mb = std::max<std::uint64_t>(1, *size >> 20);
-    req.set("size_mb", json::Value::number(size_mb));
-    req.set("passes",
-            json::Value::number(static_cast<std::int64_t>(opt.passes)));
-    req.set("backgrounds",
-            json::Value::number(static_cast<std::int64_t>(opt.backgrounds)));
-    req.set("jobs", json::Value::number(static_cast<std::int64_t>(opt.jobs)));
-    if (!opt.backend_name.empty())
-      req.set("backend", json::Value::string(opt.backend_name));
-    req.set("max_failures",
-            json::Value::number(
-                static_cast<std::uint64_t>(opt.max_failures)));
-  } else if (kind == "cancel") {
-    if (opt.algorithm.empty())
-      usage("submit --req cancel needs the target session id");
-    req.set("target", json::Value::string(opt.algorithm));
-  }
-  // stats carries only id + kind.
-  return req.dump();
-}
-
-int cmd_submit(const Options& opt) {
-  if (opt.port < 0)
+int cmd_submit(const Invocation& inv) {
+  if (inv.cli.port < 0)
     usage("submit needs --port N (the port a `pmbist serve --port` printed)");
-  const std::string line = submit_request_line(opt) + "\n";
+  // The wire carries whole MiB; only below 1 MiB does that change the
+  // buffer (above it, power-of-two rounding gives the CLI's buffer).
+  if (inv.req.kind == RequestKind::Memtest && inv.cli.size_bytes < (1u << 20))
+    usage("submit --req memtest does not take --size below 1M");
+  const std::string line = serve::request_line(inv.req) + "\n";
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -887,11 +545,11 @@ int cmd_submit(const Options& opt) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(opt.port));
+  addr.sin_port = htons(static_cast<std::uint16_t>(inv.cli.port));
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof addr) < 0) {
     std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%d: %s\n",
-                 opt.port, std::strerror(errno));
+                 inv.cli.port, std::strerror(errno));
     ::close(fd);
     return 2;
   }
@@ -954,33 +612,145 @@ int cmd_submit(const Options& opt) {
   return exit_code;
 }
 
+/// The row of `kind` whose wire name is `name`, for commands that share it.
+Row row_of(RequestKind kind, std::string_view name) {
+  for (const Row& row : serve::rows_of(kind))
+    if (row.name == name) return row;
+  throw std::logic_error("no row '" + std::string(name) + "'");
+}
+
+/// A flag of its own for a command that is no request kind.
+Row own(std::string_view flag, serve::Slot slot, std::string_view meta,
+        std::string_view help, std::string_view def = {},
+        std::uint64_t max = 65535) {
+  return {.flag = flag, .slot = slot, .def = def,
+          .max = max, .meta = meta, .help = help};
+}
+
+Row optional_algorithm(std::string_view help) {
+  return {.slot = serve::of_req<&serve::Request::algorithm>,
+          .positional = true, .meta = "[<algorithm|dsl>]",
+          .help = help};
+}
+
+const std::vector<Command>& commands() {
+  using K = RequestKind;
+  using serve::CliValues;
+  using serve::of_cli;
+  using serve::of_req;
+  const Row algorithm = row_of(K::Campaign, "algorithm");
+  const Row jobs = row_of(K::Campaign, "jobs");
+  const Row addr_bits = row_of(K::Campaign, "addr_bits");
+  const Row word_bits = row_of(K::Campaign, "word_bits");
+  const Row ports = row_of(K::Campaign, "ports");
+  const Row arch = own("--arch", of_cli<&CliValues::arch>,
+                       "ucode|pfsm|hardwired", "controller architecture",
+                       "ucode");
+  const Row flat =
+      own("--flat", of_cli<&CliValues::flat>, "", "no Repeat fold");
+  static const std::vector<Command> kCommands{
+      {"list", "library algorithms, complexity, qualification", cmd_list, {},
+       {jobs}},
+      {"assemble", "compile an algorithm, print the program listing",
+       cmd_assemble, {},
+       {algorithm, arch, flat,
+        own("--hex", of_cli<&CliValues::hex>, "", "portable hex image")}},
+      {"qualify", "static detection guarantees per fault class", cmd_qualify,
+       {}, {algorithm, jobs}},
+      {"run", "cycle-accurate BIST run on one memory", cmd_run, {},
+       {optional_algorithm("omit with --program"), arch, addr_bits, word_bits,
+        ports,
+        own("--fault", of_req<&serve::Request::fault_classes>, "CLASS",
+            "inject one sampled fault of this class"),
+        row_of(K::Campaign, "seed"), flat,
+        own("--program", of_cli<&CliValues::program>, "FILE",
+            "run this hex microcode image")}},
+      {"area", "area report of all architectures for a geometry", cmd_area,
+       {}, {addr_bits, word_bits, ports}},
+      {"coverage", "fault-simulation campaign for one algorithm",
+       cmd_coverage, K::Campaign, {}},
+      {"export", "hardwired/programmable controller as Verilog", cmd_export,
+       {},
+       {optional_algorithm("its hardwired FSM (default: the microcode unit)"),
+        addr_bits, word_bits, ports}},
+      {"export-decoder", "microcode decoder + pFSM lower controller Verilog",
+       cmd_export_decoder, {}, {}},
+      {"soc", "whole-chip scheduled BIST from a chip file", cmd_soc, K::Soc,
+       {}},
+      {"field", "in-field transparent BIST inside idle windows", cmd_field,
+       K::Field, {}},
+      {"memtest", "march-test a block of host RAM (docs/BACKEND.md)",
+       cmd_memtest, K::Memtest, {}},
+      {"lint", "static verifier: march, ucode, pFSM, chip, profile, schedule",
+       cmd_lint, K::Lint, {}},
+      {"serve", "long-running BIST service, JSON in/out (docs/SERVE.md)",
+       cmd_serve, {},
+       {own("--port", of_cli<&CliValues::port>, "N",
+            "loopback TCP port, 0 = any (default: stdin/stdout)"),
+        own("--sessions", of_cli<&CliValues::sessions>, "N",
+            "concurrent session workers", "2", 1024),
+        own("--cache-mb", of_cli<&CliValues::cache_mb>, "N",
+            "op-stream cache budget in MiB", "64", 1 << 20),
+        own("--payload-dir", of_cli<&CliValues::payload_dir>, "DIR",
+            "pipe mode: mirror result payloads to DIR/<id>.out"),
+        own("--certify", of_req<&serve::Request::certify>, "",
+            "certify every soc/field schedule before replying")}},
+      {"submit", "send one request to `pmbist serve --port`, stream events",
+       cmd_submit, {},
+       {own("--port", of_cli<&CliValues::port>, "N",
+            "the port `pmbist serve --port` printed"),
+        own("--req", of_cli<&CliValues::request>,
+            "campaign|soc|field|memtest|lint|cancel|stats",
+            "request kind; then its command's wire flags", "lint"),
+        own("--id", of_req<&serve::Request::id>, "ID",
+            "client-chosen request id", "cli")}},
+  };
+  return kCommands;
+}
+
+/// The kind `pmbist submit --req KIND` sends; it picks the flag set, so it
+/// is read before the other flags.
+RequestKind submit_kind(const Command& submit, int argc, char** argv) {
+  const Row& req =
+      *std::ranges::find(submit.rows, std::string_view{"--req"}, &Row::flag);
+  std::string name{req.def};
+  for (int i = 2; i + 1 < argc; ++i)
+    if (req.flag == argv[i]) name = argv[i + 1];
+  const auto kind = serve::kind_by_name(name);
+  if (!kind) usage("--req expects " + std::string(req.meta) + ", not " + name);
+  return *kind;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const Options opt = parse_args(argc, argv);
-    // --jobs and --kernel are threaded explicitly into every
-    // campaign-backed path (qualify, coverage, soc, field, list's
-    // qualification matrix) — the engines hold no process-wide defaults.
-    if (opt.command == "list") return cmd_list(opt);
-    if (opt.command == "export-decoder") return cmd_export_decoder();
-    if (opt.command == "soc") return cmd_soc(opt);
-    if (opt.command == "field") return cmd_field(opt);
-    if (opt.command == "memtest") return cmd_memtest(opt);
-    if (opt.command == "serve") return cmd_serve(opt);
-    if (opt.command == "submit") return cmd_submit(opt);
-    if (opt.algorithm.empty() && opt.command != "area" &&
-        !(opt.command == "run" && !opt.program_file.empty()) &&
-        opt.command != "export")
-      usage("this command needs an algorithm name or DSL string");
-    if (opt.command == "assemble") return cmd_assemble(opt);
-    if (opt.command == "qualify") return cmd_qualify(opt);
-    if (opt.command == "run") return cmd_run(opt);
-    if (opt.command == "area") return cmd_area(opt);
-    if (opt.command == "coverage") return cmd_coverage(opt);
-    if (opt.command == "export") return cmd_export(opt);
-    if (opt.command == "lint") return cmd_lint(opt);
-    usage(("unknown command " + opt.command).c_str());
+    // `--help` anywhere (and the bare `help` command) wins over everything
+    // else: print the usage text on stdout and exit 0, uniformly across
+    // subcommands.
+    const auto help = [](std::string_view arg) {
+      return arg == "--help" || arg == "-h";
+    };
+    if (std::any_of(argv + 1, argv + argc, help) ||
+        (argc >= 2 && std::string_view{argv[1]} == "help")) {
+      print_usage(stdout);
+      return 0;
+    }
+    if (argc < 2) usage();
+    const std::string name = argv[1];
+    const auto& all = commands();
+    const auto cmd = std::ranges::find(all, name, &Command::name);
+    if (cmd == all.end()) usage("unknown command " + name);
+
+    const bool submit = cmd->name == "submit";
+    const auto kind = submit ? submit_kind(*cmd, argc, argv) : cmd->kind;
+    const std::string who =
+        submit ? name + " --req " + std::string(serve::to_string(*kind))
+               : name;
+    Invocation inv =
+        parse(who, flag_set(*cmd, kind, submit), submit, argc, argv);
+    if (kind) inv.req.kind = *kind;
+    return cmd->run(inv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -25,7 +25,9 @@ file(WRITE ${WORK}/requests.ndjson
   "{\"id\":\"cov\",\"kind\":\"campaign\",\"algorithm\":\"MATS\",\"addr_bits\":4,\"samples\":4,\"jobs\":1}\n"
   "{\"id\":\"lint\",\"kind\":\"lint\",\"input\":\"March C\"}\n"
   "{\"id\":\"soc\",\"kind\":\"soc\",\"chip\":\"${chip_text}\",\"jobs\":1}\n"
-  "{\"id\":\"field\",\"kind\":\"field\",\"chip\":\"${chip_text}\",\"profile\":\"${profile_text}\",\"jobs\":1}\n")
+  "{\"id\":\"field\",\"kind\":\"field\",\"chip\":\"${chip_text}\",\"profile\":\"${profile_text}\",\"jobs\":1}\n"
+  "{\"id\":\"cov_saf\",\"kind\":\"campaign\",\"algorithm\":\"MATS\",\"addr_bits\":4,\"samples\":4,\"jobs\":1,\"classes\":[\"SAF\"]}\n"
+  "{\"id\":\"mem\",\"kind\":\"memtest\",\"size_mb\":1,\"backend\":\"sim\"}\n")
 
 execute_process(
   COMMAND ${PMBIST_CLI} serve --payload-dir ${WORK}/payloads
@@ -39,32 +41,20 @@ endif()
 # The equivalent one-shot invocations (same jobs, default everything
 # else).  Reports go to stdout; wall-clock chatter goes to stderr and is
 # deliberately dropped — it is not part of the contract.
-execute_process(
-  COMMAND ${PMBIST_CLI} coverage MATS --addr-bits 4 --samples 4 --jobs 1
-  OUTPUT_FILE ${WORK}/cov.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "pmbist coverage exited ${rc}")
-endif()
-execute_process(
-  COMMAND ${PMBIST_CLI} lint "March C"
-  OUTPUT_FILE ${WORK}/lint.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "pmbist lint exited ${rc}")
-endif()
-execute_process(
-  COMMAND ${PMBIST_CLI} soc --chip ${CHIP} --jobs 1
-  OUTPUT_FILE ${WORK}/soc.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "pmbist soc exited ${rc}")
-endif()
-execute_process(
-  COMMAND ${PMBIST_CLI} field --chip ${CHIP} --profile ${PROFILE} --jobs 1
-  OUTPUT_FILE ${WORK}/field.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "pmbist field exited ${rc}")
-endif()
+set(cli_cov coverage MATS --addr-bits 4 --samples 4 --jobs 1)
+set(cli_lint lint "March C")
+set(cli_soc soc --chip ${CHIP} --jobs 1)
+set(cli_field field --chip ${CHIP} --profile ${PROFILE} --jobs 1)
+set(cli_cov_saf ${cli_cov} --fault SAF)
+set(cli_mem memtest --size 1M --backend sim)
 
-foreach(pair "cov" "lint" "soc" "field")
+foreach(pair "cov" "lint" "soc" "field" "cov_saf" "mem")
+  execute_process(
+    COMMAND ${PMBIST_CLI} ${cli_${pair}}
+    OUTPUT_FILE ${WORK}/${pair}.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "pmbist ${cli_${pair}} exited ${rc}")
+  endif()
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
             ${WORK}/payloads/${pair}.out ${WORK}/${pair}.cli
