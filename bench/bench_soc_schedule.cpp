@@ -8,8 +8,8 @@
 //     sessions of one controller-sharing group,
 //   * modeled durations are exact (scheduled cycles == executed cycles),
 //   * tightening the budget never shortens the chip test,
-//   * parallel execution is >= 2x faster than --jobs 1 (gated only on
-//     >= 4 hardware cores),
+//   * parallel execution is >= 2x faster than --jobs 1, each side timed
+//     as the fastest of 3 runs (gated only on >= 4 hardware cores),
 //
 // and emits the headline numbers as BENCH_soc.json.
 
@@ -86,9 +86,20 @@ int main() {
   // --- wall-clock speedup on a scaled-up chip -------------------------
   // extra_addr_bits=4 makes every array 16x larger so each session is
   // heavy enough for timing.
+  // Each side is the fastest of 3 runs, the two sides taking turns: one
+  // wall-clock ratio on a shared host fails whenever another tenant
+  // happens to slow either side, and turns expose both to the same load.
   const auto big_chip = soc::demo_soc(4);
-  const auto serial = soc::run_soc(big_chip, plan, {.jobs = 1});
-  const auto parallel = soc::run_soc(big_chip, plan, {.jobs = 0});
+  auto serial = soc::run_soc(big_chip, plan, {.jobs = 1});
+  auto parallel = soc::run_soc(big_chip, plan, {.jobs = 0});
+  for (int run = 1; run < 3; ++run) {
+    auto next_serial = soc::run_soc(big_chip, plan, {.jobs = 1});
+    if (next_serial.wall_seconds < serial.wall_seconds)
+      serial = std::move(next_serial);
+    auto next_parallel = soc::run_soc(big_chip, plan, {.jobs = 0});
+    if (next_parallel.wall_seconds < parallel.wall_seconds)
+      parallel = std::move(next_parallel);
+  }
   c.check(serial == parallel, "scaled chip: jobs=0 matches jobs=1 exactly");
 
   const unsigned cores = std::thread::hardware_concurrency();

@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/cancel.h"
 #include "march/campaign.h"
 #include "march/library.h"
 
@@ -307,13 +308,18 @@ std::vector<CoverageRow> coverage_matrix(
   CoverageOptions effective = opts;
   if (effective.cache == nullptr) effective.cache = &local_cache;
 
+  const int total = static_cast<int>(algorithms.size() * classes.size());
+  int done = 0;
   std::vector<CoverageRow> rows;
   rows.reserve(algorithms.size());
   for (const auto& alg : algorithms) {
     CoverageRow row;
     row.algorithm = alg.name();
-    for (FaultClass cls : classes)
+    for (FaultClass cls : classes) {
+      common::throw_if_cancelled(opts.cancel);
       row.cells[cls] = evaluate_coverage(alg, cls, geometry, effective);
+      if (opts.progress) opts.progress(++done, total);
+    }
     rows.push_back(std::move(row));
   }
   return rows;

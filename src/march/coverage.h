@@ -14,6 +14,7 @@
 // identical to the serial path for any worker count.
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <span>
 
@@ -142,7 +143,11 @@ struct CoverageOptions {
   /// per-class evaluations of one matrix still reuse each expansion).
   StreamCache* cache = nullptr;
   /// Optional cooperative cancellation flag — see campaign.h.
+  /// coverage_matrix also polls it before each cell.
   const std::atomic<bool>* cancel = nullptr;
+  /// Optional coverage_matrix progress: (done, total) cells, after each
+  /// cell.  Counts only, so consumers stay independent of `jobs`.
+  std::function<void(int done, int total)> progress = nullptr;
 };
 
 /// Evaluates detection of `alg` against one fault class.

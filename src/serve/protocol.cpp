@@ -357,8 +357,9 @@ Request parse_request(const std::string& line) {
         }))
       fail("unknown field '" + key + "'");
   }
-  for (const Row& row : rows)
-    if (on_wire(row)) field(row);
+  // A CLI-only row is never in `doc` (its empty name is no wire field),
+  // so it takes its default: soc and field run on the simulator.
+  for (const Row& row : rows) field(row);
   return std::move(inv.req);
 }
 

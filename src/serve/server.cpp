@@ -16,40 +16,15 @@
 #include <thread>
 #include <utility>
 
-#include "backend/memtest.h"
 #include "common/cancel.h"
-#include "common/hash.h"
 #include "common/json.h"
-#include "field/manager.h"
-#include "field/profile.h"
-#include "lint/certify.h"
 #include "lint/diagnostics.h"
-#include "lint/driver.h"
-#include "march/coverage.h"
-#include "soc/chip.h"
-#include "soc/plan.h"
-#include "soc/scheduler.h"
+#include "serve/executor.h"
 
 namespace pmbist::serve {
 namespace {
 
 namespace json = common::json;
-
-/// Every lint input that can change the verdict, canonically: the request
-/// line of the parsed request, minus its id.
-std::uint64_t lint_key(Request req) {
-  req.id.clear();
-  return common::fnv1a64(request_line(req));
-}
-
-/// Certify gate for exec_soc/exec_field under ServerOptions::certify: a
-/// certificate violation fails the whole request (the caller turns the
-/// throw into an `error` event) — never a corrupted-but-replied result.
-void require_certified(const lint::Report& report, const char* what) {
-  if (!report.has_errors()) return;
-  throw std::runtime_error(std::string("schedule certificate failed (") +
-                           what + "):\n" + lint::format_text(report));
-}
 
 json::Value cache_stats_json(std::uint64_t hits, std::uint64_t misses,
                              std::uint64_t evictions) {
@@ -144,9 +119,26 @@ std::optional<std::string> Server::post(const std::string& line, Sink sink) {
 void Server::run_session(const Request& req,
                          const std::shared_ptr<Session>& session,
                          const Sink& sink) {
+  // The server's --certify covers soc/field schedules; a lint request's
+  // `certify` is its own field.
+  Request run = req;
+  if (req.kind != RequestKind::Lint) run.certify = options_.certify;
+  const Hooks hooks{
+      .cancel = &session->cancel,
+      .progress = [this, &req, &sink](int done, int total) {
+        emit(sink, event_progress(req.id, done, total));
+      },
+      .streams = &streams_,
+      .lints = &lints_};
   try {
-    const ExecResult result = execute(req, *session, sink);
-    emit(sink, event_result(req.id, result.exit_code, result.payload));
+    const Outcome out = run_request(run, hooks);
+    // A certificate violation fails the whole request, never a
+    // corrupted-but-replied result.
+    if (out.certificate && out.certificate->has_errors())
+      throw std::runtime_error("schedule certificate failed (" +
+                               std::string(to_string(req.kind)) + "):\n" +
+                               lint::format_text(*out.certificate));
+    emit(sink, event_result(req.id, out.exit_code, out.payload));
   } catch (const common::Cancelled&) {
     emit(sink, event_cancelled(req.id));
   } catch (const std::exception& e) {
@@ -158,142 +150,6 @@ void Server::run_session(const Request& req,
     ++completed_;
   }
   registry_cv_.notify_all();
-}
-
-Server::ExecResult Server::execute(const Request& req, Session& session,
-                                   const Sink& sink) {
-  switch (req.kind) {
-    case RequestKind::Campaign: return exec_campaign(req, session, sink);
-    case RequestKind::Soc: return exec_soc(req, session, sink);
-    case RequestKind::Field: return exec_field(req, session, sink);
-    case RequestKind::Memtest: return exec_memtest(req, session, sink);
-    case RequestKind::Lint: return exec_lint(req);
-    case RequestKind::Cancel:
-    case RequestKind::Stats: break;  // handled synchronously in post()
-  }
-  throw std::logic_error("unreachable request kind");
-}
-
-Server::ExecResult Server::exec_campaign(const Request& req, Session& session,
-                                         const Sink& sink) {
-  const auto alg = soc::resolve_algorithm(req.algorithm);
-  const std::vector<memsim::FaultClass> classes = fault_classes(req);
-
-  const int total = static_cast<int>(classes.size());
-  session.total.store(total, std::memory_order_relaxed);
-
-  // Mirrors march::coverage_matrix over one algorithm, with the Server's
-  // cross-request stream cache plugged in — identical cells, identical
-  // table, plus a progress event per fault class.
-  march::CoverageRow row;
-  row.algorithm = alg.name();
-  const march::CoverageOptions copts{.seed = req.seed,
-                                     .max_instances_per_class = req.samples,
-                                     .jobs = req.jobs,
-                                     .kernel = req.kernel,
-                                     .cache = &streams_,
-                                     .cancel = &session.cancel};
-  for (int i = 0; i < total; ++i) {
-    common::throw_if_cancelled(&session.cancel);
-    row.cells[classes[i]] =
-        march::evaluate_coverage(alg, classes[i], req.geometry, copts);
-    session.done.store(i + 1, std::memory_order_relaxed);
-    emit(sink, event_progress(req.id, i + 1, total));
-  }
-
-  const std::vector<march::CoverageRow> rows{row};
-  return {0, march::format_coverage_table(rows, classes)};
-}
-
-Server::ExecResult Server::exec_soc(const Request& req, Session& session,
-                                    const Sink& sink) {
-  soc::ChipFile chip = soc::parse_chip(req.chip);
-  if (req.power_budget >= 0.0) chip.plan.set_power_budget(req.power_budget);
-
-  const soc::SchedulerOptions opts{
-      .jobs = req.jobs,
-      .max_failures = req.max_failures,
-      .cancel = &session.cancel,
-      .progress = [this, &req, &session, &sink](int done, int total) {
-        session.done.store(done, std::memory_order_relaxed);
-        session.total.store(total, std::memory_order_relaxed);
-        emit(sink, event_progress(req.id, done, total));
-      }};
-  const auto result = soc::run_soc(chip.description, chip.plan, opts);
-  if (options_.certify)
-    require_certified(
-        lint::certify_soc(chip.description, chip.plan, result.schedule),
-        "soc");
-  return {result.all_healthy() ? 0 : 1,
-          soc::format_soc_report(chip.description, chip.plan, result)};
-}
-
-Server::ExecResult Server::exec_field(const Request& req, Session& session,
-                                      const Sink& sink) {
-  const soc::ChipFile chip = soc::parse_chip(req.chip);
-  const field::MissionProfile profile = field::parse_profile_text(req.profile);
-
-  const field::FieldOptions opts{
-      .jobs = req.jobs,
-      .max_failures = req.max_failures,
-      .cancel = &session.cancel,
-      .progress = [this, &req, &session, &sink](int done, int total) {
-        session.done.store(done, std::memory_order_relaxed);
-        session.total.store(total, std::memory_order_relaxed);
-        emit(sink, event_progress(req.id, done, total));
-      }};
-  const auto report = field::run_field(chip.description, chip.plan, profile,
-                                       opts);
-  if (options_.certify)
-    require_certified(
-        lint::certify_field(chip.description, chip.plan, profile, report),
-        "field");
-  return {report.all_healthy() ? 0 : 1, field::format_field_report(report)};
-}
-
-Server::ExecResult Server::exec_memtest(const Request& req, Session& session,
-                                        const Sink& sink) {
-  const auto alg = soc::resolve_algorithm(req.algorithm);
-  const backend::MemtestOptions opts{
-      .size_bytes = req.size_mb << 20,
-      .passes = req.passes,
-      .backgrounds = req.backgrounds,
-      .jobs = req.jobs,
-      .backend = req.backend,
-      .max_failures = req.max_failures,
-      .cancel = &session.cancel,
-      .progress = [this, &req, &session, &sink](std::uint64_t done,
-                                                std::uint64_t total) {
-        session.done.store(static_cast<int>(done), std::memory_order_relaxed);
-        session.total.store(static_cast<int>(total), std::memory_order_relaxed);
-        emit(sink, event_progress(req.id, static_cast<int>(done),
-                                  static_cast<int>(total)));
-      }};
-  const auto report = backend::run_memtest(alg, opts);
-  // The engine reports cancellation by returning early; serve's contract
-  // is a `cancelled` terminal event, same as the other work kinds.
-  if (!report.completed) throw common::Cancelled{};
-  return {report.passed() ? 0 : 1, backend::format_memtest_report(report)};
-}
-
-Server::ExecResult Server::exec_lint(const Request& req) {
-  const std::uint64_t key = lint_key(req);
-  if (auto hit = lints_.get(key)) return std::move(*hit);
-  ExecResult verdict = lint_verdict(req);
-  lints_.put(key, verdict);
-  return verdict;
-}
-
-VerdictCache::Verdict lint_verdict(const Request& req) {
-  const lint::LintOptions lopts{.storage_depth = req.storage_depth,
-                                .buffer_depth = req.buffer_depth,
-                                .chip = req.chip,
-                                .profile = req.profile,
-                                .certify = req.certify,
-                                .against = req.against};
-  const lint::Report report = lint::lint_text(req.input, req.unit, lopts);
-  return {report.has_errors() ? 1 : 0,
-          lint::format_cli(report, req.unit, req.lint_json)};
 }
 
 std::string Server::stats_payload() const {

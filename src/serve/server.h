@@ -26,13 +26,13 @@
 // tests/test_serve.cpp — which is what the reentrancy refactor of the
 // engine layers (campaign.h) bought.
 //
-// Equivalence contract.  Every `result` payload is byte-identical to the
-// stdout of the equivalent one-shot CLI invocation with the same
-// jobs/kernel, because both sides call the same formatters
-// (march::format_coverage_table, soc::format_soc_report,
-// field::format_field_report, lint::format_cli).  docs/SERVE.md documents
-// the protocol; bench/bench_serve.cpp measures throughput and cache
-// effect.
+// Equivalence contract.  Every `result` payload and exit code are the
+// stdout and exit code of the equivalent one-shot CLI invocation with the
+// same jobs/kernel, because both sides call serve::run_request
+// (executor.h), the one mapping from a request onto the engines; a
+// session only adds its cancel flag, progress events and this Server's
+// caches.  docs/SERVE.md documents the protocol; bench/bench_serve.cpp
+// measures throughput and cache effect.
 
 #include <condition_variable>
 #include <cstdint>
@@ -131,19 +131,8 @@ class Server {
   }
 
  private:
-  /// A work session's exit code and CLI-identical payload.
-  using ExecResult = VerdictCache::Verdict;
-
   void run_session(const Request& req, const std::shared_ptr<Session>& session,
                    const Sink& sink);
-  ExecResult execute(const Request& req, Session& session, const Sink& sink);
-  ExecResult exec_campaign(const Request& req, Session& session,
-                           const Sink& sink);
-  ExecResult exec_soc(const Request& req, Session& session, const Sink& sink);
-  ExecResult exec_field(const Request& req, Session& session, const Sink& sink);
-  ExecResult exec_memtest(const Request& req, Session& session,
-                          const Sink& sink);
-  ExecResult exec_lint(const Request& req);
   [[nodiscard]] std::string stats_payload() const;
 
   void emit(const Sink& sink, const std::string& line);
@@ -167,9 +156,5 @@ class Server {
   /// first, while every member the sessions touch is still alive.
   std::unique_ptr<common::ThreadPool> pool_;
 };
-
-/// The verdict of a lint request, uncached: `pmbist lint`'s stdout and
-/// exit code (0 clean, 1 errors).
-[[nodiscard]] VerdictCache::Verdict lint_verdict(const Request& req);
 
 }  // namespace pmbist::serve

@@ -4,7 +4,7 @@
 // A Session is the server-side arena of one work request (campaign / soc /
 // field / lint): its identity, its cooperative cancellation flag (the
 // target of `cancel` requests, polled by the engines at shard boundaries
-// through common/cancel.h) and its progress counters.  Sessions live in
+// through common/cancel.h).  Sessions live in
 // the Server's registry from `accepted` until the terminal event
 // (`result`, `error` or `cancelled`) has been emitted, and are reachable
 // by id for exactly that window — cancelling a finished session is an
@@ -19,10 +19,6 @@ struct Session {
   std::string id;
   /// Set by a `cancel` request; engines poll it between shards.
   std::atomic<bool> cancel{false};
-  /// Progress counters mirrored from the engine callbacks (exposed so
-  /// stats/debugging never has to parse the event stream).
-  std::atomic<int> done{0};
-  std::atomic<int> total{0};
 };
 
 }  // namespace pmbist::serve

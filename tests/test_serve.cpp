@@ -40,6 +40,7 @@
 #include "march/coverage.h"
 #include "march/library.h"
 #include "memsim/fault_model.h"
+#include "serve/executor.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "soc/chip.h"
@@ -738,34 +739,31 @@ TEST(ServeIsolation, TwoServersInOneProcessShareNothing) {
 // ---------------------------------------------------------------------------
 // Cancellation and session registry.
 
-TEST(ServeSessions, CancelMidCampaignLeavesTheServerReusable) {
-  serve::Server server{{.sessions = 1}};
+/// Posts `line` as session `id`, cancels it after its first progress event
+/// and expects `cancelled` as its terminal event.  Waiting for progress
+/// first lands the cancel mid-run on any host, without timing.
+void cancel_after_first_progress(serve::Server& server,
+                                 const std::string& line,
+                                 const std::string& id) {
   Collector events;
-
-  // Big enough that 12 per-class boundaries remain after the first
-  // progress event — the cancel flag is polled at every one of them.
-  const std::string big =
-      R"({"id":"big","kind":"campaign","algorithm":"March G","addr_bits":12,)"
-      R"("samples":256,"jobs":2})";
-  ASSERT_TRUE(server.post(big, events.sink()));
-  ASSERT_TRUE(events.wait_for_event("big", "progress",
-                                    std::chrono::seconds(120)));
+  ASSERT_TRUE(server.post(line, events.sink()));
+  ASSERT_TRUE(events.wait_for_event(id, "progress", std::chrono::seconds(120)));
 
   // A duplicate id is rejected while the session is active.
   Collector dup;
-  EXPECT_FALSE(server.post(big, dup.sink()));
+  EXPECT_FALSE(server.post(line, dup.sink()));
   ASSERT_EQ(dup.snapshot().size(), 1u);
   EXPECT_EQ(event_field(dup.snapshot()[0], "event"), "error");
 
-  const auto cancel_events =
-      server.call(R"({"id":"k","kind":"cancel","target":"big"})");
+  const auto cancel_events = server.call(
+      R"({"id":"k","kind":"cancel","target":")" + id + R"("})");
   ASSERT_EQ(cancel_events.size(), 1u);
   EXPECT_EQ(event_field(cancel_events[0], "event"), "result");
 
-  ASSERT_TRUE(events.wait_for_terminal("big", std::chrono::seconds(120)));
+  ASSERT_TRUE(events.wait_for_terminal(id, std::chrono::seconds(120)));
   const auto all = events.snapshot();
   EXPECT_EQ(event_field(all.back(), "event"), "cancelled");
-  EXPECT_EQ(event_field(all.back(), "id"), "big");
+  EXPECT_EQ(event_field(all.back(), "id"), id);
 
   // The worker pool and the registry survived: a fresh request on the
   // same server completes normally with the exact engine output.
@@ -775,6 +773,71 @@ TEST(ServeSessions, CancelMidCampaignLeavesTheServerReusable) {
   EXPECT_EQ(event_field(after.back(), "event"), "result");
   EXPECT_EQ(event_field(after.back(), "exit"), "0");
   EXPECT_EQ(server.stats().active, 0);
+}
+
+TEST(ServeSessions, CancelMidCampaignLeavesTheServerReusable) {
+  serve::Server server{{.sessions = 1}};
+  // Big enough that 12 per-class boundaries remain after the first
+  // progress event — the cancel flag is polled at every one of them.
+  cancel_after_first_progress(
+      server,
+      R"({"id":"big","kind":"campaign","algorithm":"March G","addr_bits":12,)"
+      R"("samples":256,"jobs":2})",
+      "big");
+}
+
+TEST(ServeSessions, CancelMidMemtestLeavesTheServerReusable) {
+  // The memtest engine stops early instead of throwing; the executor
+  // turns the incomplete report into `cancelled`.  27 of 28 pass x
+  // background units remain after the first progress event.
+  serve::Server server{{.sessions = 1}};
+  cancel_after_first_progress(
+      server,
+      R"({"id":"mem","kind":"memtest","size_mb":4,"passes":4,)"
+      R"("backend":"sim","jobs":1})",
+      "mem");
+}
+
+TEST(ServeSessions, CancelMidSocLeavesTheServerReusable) {
+  // The demo chip with 16x arrays, one instance at a time: the scheduler
+  // polls the flag before each instance that remains.
+  json::Value req = json::Value::object();
+  req.set("id", json::Value::string("chip"));
+  req.set("kind", json::Value::string("soc"));
+  req.set("chip", json::Value::string(
+                      soc::to_chip_text(soc::demo_soc(4), soc::demo_plan())));
+  req.set("jobs", json::Value::number(std::int64_t{1}));
+  serve::Server server{{.sessions = 1}};
+  cancel_after_first_progress(server, req.dump(), "chip");
+}
+
+TEST(ServeSessions, MemtestLargerThanTheHostIsRefused) {
+  // Refused before any mapping: a 16 GiB buffer on a smaller host must
+  // not be mapped and written, so this test never runs on a larger one.
+  const long pages = ::sysconf(_SC_PHYS_PAGES);
+  const long page_bytes = ::sysconf(_SC_PAGESIZE);
+  if (pages <= 0 || page_bytes <= 0 ||
+      static_cast<std::uint64_t>(pages) *
+              static_cast<std::uint64_t>(page_bytes) >=
+          (16ull << 30))
+    GTEST_SKIP() << "the host holds 16 GiB of physical memory";
+
+  // The serve request (size_mb) ends in an `error` event...
+  const std::string line =
+      R"({"id":"huge","kind":"memtest","size_mb":16384,"backend":"sim"})";
+  serve::Server server{{.sessions = 1}};
+  const auto events = server.call(line);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(event_field(events.back(), "event"), "error");
+  EXPECT_NE(event_field(events.back(), "message").find("physical memory"),
+            std::string::npos);
+
+  // ...and `pmbist memtest --size 16G` (the CLI's bytes) throws, which the
+  // CLI reports with exit 2.
+  serve::Hooks cli;
+  cli.cli.size_bytes = 16ull << 30;
+  EXPECT_THROW((void)serve::run_request(serve::parse_request(line), cli),
+               std::runtime_error);
 }
 
 TEST(ServeSessions, PostReportsTheQueuedSessionId) {

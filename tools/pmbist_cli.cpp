@@ -5,10 +5,11 @@
 // field, memtest and lint take exactly the rows of their serve request
 // kind (campaign, soc, field, memtest, lint): the per-kind tables in
 // serve/protocol.h drive this file's flag parsing, the serve JSON parser,
-// `submit` and the --help text, so the one-shot CLI and the service
-// cannot drift apart.  The other commands declare small flag sets of
-// their own in commands() below.  Every command rejects any flag outside
-// its set.
+// `submit` and the --help text.  They then run through serve::run_request
+// (serve/executor.h), the one mapping from a request onto the engines that
+// serve sessions call too, so the one-shot CLI and the service cannot
+// drift apart.  The other commands declare small flag sets of their own in
+// commands() below.  Every command rejects any flag outside its set.
 //
 // Exit codes are uniform across subcommands: 0 = success, 1 = the checked
 // artifact failed (BIST mismatch, unhealthy chip, lint errors), 2 = usage
@@ -33,14 +34,12 @@
 #include <string>
 #include <vector>
 
-#include "backend/memtest.h"
 #include "bist/session.h"
 #include "common/json.h"
-#include "lint/certify.h"
-#include "lint/diagnostics.h"
+#include "field/profile.h"
 #include "lint/fix.h"
 #include "march/analysis.h"
-#include "march/campaign.h"
+#include "march/coverage.h"
 #include "march/library.h"
 #include "mbist_hardwired/area.h"
 #include "mbist_hardwired/controller.h"
@@ -50,15 +49,11 @@
 #include "mbist_ucode/controller.h"
 #include "mbist_ucode/rtl.h"
 #include "netlist/verilog.h"
-#include "field/manager.h"
-#include "field/profile.h"
-#include "field/schedule_io.h"
+#include "serve/executor.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "soc/chip.h"
 #include "soc/plan.h"
-#include "soc/schedule_io.h"
-#include "soc/scheduler.h"
 
 namespace {
 
@@ -210,9 +205,24 @@ int cmd_list(const Invocation& inv) {
   return 0;
 }
 
+/// The architectures `assemble` and `run` take, as their --arch rows show.
+constexpr std::string_view kAssembleArchs = "ucode|pfsm";
+constexpr std::string_view kRunArchs = "ucode|pfsm|hardwired";
+
+/// The --arch value; a usage error unless `names` lists it.
+const std::string& checked_arch(const Invocation& inv,
+                                std::string_view names) {
+  const std::string listed = "|" + std::string(names) + "|";
+  if (listed.find("|" + inv.cli.arch + "|") == std::string::npos)
+    usage("unknown --arch " + inv.cli.arch + " (expected " +
+          std::string(names) + ")");
+  return inv.cli.arch;
+}
+
 int cmd_assemble(const Invocation& inv) {
+  const std::string& arch = checked_arch(inv, kAssembleArchs);
   const auto alg = soc::resolve_algorithm(inv.req.algorithm);
-  if (inv.cli.arch == "pfsm") {
+  if (arch == "pfsm") {
     const auto r = mbist_pfsm::compile(alg);
     std::printf("%s", inv.cli.hex ? r.program.to_hex_text().c_str()
                                   : r.program.listing().c_str());
@@ -238,6 +248,7 @@ int cmd_qualify(const Invocation& inv) {
 }
 
 int cmd_run(const Invocation& inv) {
+  const std::string& arch = checked_arch(inv, kRunArchs);
   const std::string& program = inv.cli.program;
   const bool from_image = !program.empty();
   if (!from_image && inv.req.algorithm.empty())
@@ -255,22 +266,20 @@ int cmd_run(const Invocation& inv) {
     std::printf("loaded image '%s' (%d instructions)\n",
                 c->program().name().c_str(), c->program().size());
     controller = std::move(c);
-  } else if (inv.cli.arch == "ucode") {
+  } else if (arch == "ucode") {
     auto c = std::make_unique<mbist_ucode::MicrocodeController>(
         mbist_ucode::ControllerConfig{.geometry = geometry,
                                       .storage_depth = 64});
     c->load_algorithm(alg, {.symmetric_encoding = !inv.cli.flat});
     controller = std::move(c);
-  } else if (inv.cli.arch == "pfsm") {
+  } else if (arch == "pfsm") {
     auto c = std::make_unique<mbist_pfsm::PfsmController>(
         mbist_pfsm::PfsmConfig{.geometry = geometry, .buffer_depth = 32});
     c->load_algorithm(alg);
     controller = std::move(c);
-  } else if (inv.cli.arch == "hardwired") {
+  } else {
     controller = std::make_unique<mbist_hardwired::HardwiredController>(
         alg, mbist_hardwired::HardwiredConfig{.geometry = geometry});
-  } else {
-    usage("unknown --arch");
   }
 
   const std::uint64_t seed = inv.req.seed;
@@ -321,20 +330,6 @@ int cmd_area(const Invocation& inv) {
   return 0;
 }
 
-int cmd_coverage(const Invocation& inv) {
-  const auto& req = inv.req;
-  const march::CoverageOptions copts{.seed = req.seed,
-                                     .max_instances_per_class = req.samples,
-                                     .jobs = req.jobs,
-                                     .kernel = req.kernel};
-  const std::vector<march::MarchAlgorithm> algs{
-      soc::resolve_algorithm(req.algorithm)};
-  const auto classes = serve::fault_classes(req);
-  const auto rows = march::coverage_matrix(algs, classes, req.geometry, copts);
-  std::printf("%s", march::format_coverage_table(rows, classes).c_str());
-  return 0;
-}
-
 int cmd_export_decoder(const Invocation&) {
   std::vector<netlist::SopOutput> outputs;
   for (const auto& d : mbist_ucode::decoder_covers())
@@ -371,35 +366,6 @@ int cmd_export(const Invocation& inv) {
   return 0;
 }
 
-int cmd_lint(const Invocation& inv) {
-  serve::Request req = inv.req;
-  // `unit` is the input's path when the positional opened as a file.
-  if (inv.cli.fix) {
-    if (req.unit == "input") {
-      std::fprintf(stderr,
-                   "error: --fix rewrites the input in place and needs a "
-                   "file argument\n");
-      return 2;
-    }
-    const lint::FixResult fixed = lint::fix_text(req.input, req.unit);
-    std::printf("%s: %s\n", req.unit.c_str(), fixed.summary.c_str());
-    if (fixed.changed) {
-      std::ofstream out{req.unit, std::ios::trunc};
-      if (!out) {
-        std::fprintf(stderr, "error: cannot rewrite %s\n", req.unit.c_str());
-        return 2;
-      }
-      out << fixed.text;
-      req.input = fixed.text;
-    }
-  }
-  // Shared with the serve layer: serve lint payloads are byte-identical to
-  // this stdout by construction.
-  const auto verdict = serve::lint_verdict(req);
-  std::fputs(verdict.payload.c_str(), stdout);
-  return verdict.exit_code;
-}
-
 /// Writes `text` to `path` (for --emit-schedule); exits 2 when the file
 /// cannot be created.
 void write_file(const std::string& path, const std::string& text) {
@@ -408,99 +374,53 @@ void write_file(const std::string& path, const std::string& text) {
   out << text;
 }
 
-/// Prints a certificate report on stderr — stdout stays byte-identical to
-/// the serve payloads — and reports whether the schedule failed.
-bool certificate_failed(const lint::Report& report, const char* what) {
-  if (report.empty()) {
-    std::fprintf(stderr, "certificate: %s OK\n", what);
-    return false;
+/// coverage, soc, field, memtest and lint: the request's executor, shared
+/// with serve, whose payload is this stdout.  Only the CLI may leave out a
+/// chip or profile: it runs the built-in demo's, and says so first.
+int cmd_request(const Invocation& inv) {
+  serve::Request req = inv.req;
+  const bool schedules = req.kind == RequestKind::Soc ||
+                         req.kind == RequestKind::Field;
+  if (schedules && req.chip.empty()) {
+    std::printf("no --chip given: running the built-in demo chip\n");
+    req.chip = soc::to_chip_text(soc::demo_soc(), soc::demo_plan());
   }
-  std::fputs(lint::format_text(report).c_str(), stderr);
-  return report.has_errors();
-}
-
-soc::ChipFile chip_of(const serve::Request& req) {
-  if (!req.chip.empty()) return soc::parse_chip(req.chip);
-  std::printf("no --chip given: running the built-in demo chip\n");
-  return {soc::demo_soc(), soc::demo_plan()};
-}
-
-int cmd_soc(const Invocation& inv) {
-  const serve::Request& req = inv.req;
-  soc::ChipFile chip = chip_of(req);
-  if (req.power_budget >= 0.0) chip.plan.set_power_budget(req.power_budget);
-
-  const auto result = soc::run_soc(chip.description, chip.plan,
-                                   {.jobs = req.jobs,
-                                    .max_failures = req.max_failures,
-                                    .backend = req.backend});
-
-  // The report body is shared with the serve layer (byte-identical serve
-  // payloads); wall time is host noise, so it goes to stderr.
-  std::fputs(soc::format_soc_report(chip.description, chip.plan, result)
-                 .c_str(),
-             stdout);
-  std::fprintf(stderr, "wall %.3f s\n", result.wall_seconds);
-  if (!inv.cli.emit_schedule.empty())
-    write_file(inv.cli.emit_schedule,
-               soc::to_schedule_text("soc", result.schedule));
-  if (req.certify &&
-      certificate_failed(
-          lint::certify_soc(chip.description, chip.plan, result.schedule),
-          "soc schedule"))
-    return 1;
-  return result.all_healthy() ? 0 : 1;
-}
-
-int cmd_field(const Invocation& inv) {
-  const serve::Request& req = inv.req;
-  const soc::ChipFile chip = chip_of(req);
-  field::MissionProfile profile;
-  if (req.profile.empty()) {
-    profile = field::demo_profile();
+  if (req.kind == RequestKind::Field && req.profile.empty()) {
     std::printf("no --profile given: using the built-in demo profile\n");
-  } else {
-    profile = field::parse_profile_text(req.profile);
+    req.profile = field::to_profile_text(field::demo_profile());
   }
-
-  const auto report = field::run_field(chip.description, chip.plan, profile,
-                                       {.jobs = req.jobs,
-                                        .max_failures = req.max_failures,
-                                        .backend = req.backend});
-
-  // Shared with the serve layer, same as cmd_soc.
-  std::fputs(field::format_field_report(report).c_str(), stdout);
-  std::fprintf(stderr, "wall %.3f s\n", report.wall_seconds);
+  const serve::Outcome out = serve::run_request(req, {.cli = inv.cli});
+  std::fputs(out.payload.c_str(), stdout);
+  std::fputs(out.notes.c_str(), stderr);
   if (!inv.cli.emit_schedule.empty())
-    write_file(inv.cli.emit_schedule,
-               field::to_field_schedule_text("field", report.sessions));
-  if (req.certify &&
-      certificate_failed(
-          lint::certify_field(chip.description, chip.plan, profile, report),
-          "field schedule"))
-    return 1;
-  return report.all_healthy() ? 0 : 1;
+    write_file(inv.cli.emit_schedule, out.schedule);
+  return out.exit_code;
 }
 
-int cmd_memtest(const Invocation& inv) {
-  const serve::Request& req = inv.req;
-  backend::MemtestOptions mopts;
-  mopts.size_bytes = inv.cli.size_bytes;
-  mopts.passes = req.passes;
-  mopts.backgrounds = req.backgrounds;
-  mopts.jobs = req.jobs;
-  mopts.backend = req.backend;
-  mopts.huge_pages = inv.cli.huge_pages;
-  mopts.max_failures = req.max_failures;
-  mopts.inject_error = inv.cli.inject;
-  const auto report =
-      backend::run_memtest(soc::resolve_algorithm(req.algorithm), mopts);
-  // The deterministic report is shared with the serve layer (byte-identical
-  // payloads); throughput is host noise, so it goes to stderr like the
-  // soc/field wall line.
-  std::fputs(backend::format_memtest_report(report).c_str(), stdout);
-  std::fputs(backend::format_memtest_throughput(report).c_str(), stderr);
-  return report.passed() ? 0 : 1;
+/// lint --fix rewrites the input file before the request runs.
+int cmd_lint(const Invocation& inv) {
+  if (!inv.cli.fix) return cmd_request(inv);
+  Invocation fixed = inv;
+  serve::Request& req = fixed.req;
+  // `unit` is the input's path when the positional opened as a file.
+  if (req.unit == "input") {
+    std::fprintf(stderr,
+                 "error: --fix rewrites the input in place and needs a "
+                 "file argument\n");
+    return 2;
+  }
+  const lint::FixResult result = lint::fix_text(req.input, req.unit);
+  std::printf("%s: %s\n", req.unit.c_str(), result.summary.c_str());
+  if (result.changed) {
+    std::ofstream out{req.unit, std::ios::trunc};
+    if (!out) {
+      std::fprintf(stderr, "error: cannot rewrite %s\n", req.unit.c_str());
+      return 2;
+    }
+    out << result.text;
+    req.input = result.text;
+  }
+  return cmd_request(fixed);
 }
 
 int cmd_serve(const Invocation& inv) {
@@ -643,9 +563,10 @@ const std::vector<Command>& commands() {
   const Row addr_bits = row_of(K::Campaign, "addr_bits");
   const Row word_bits = row_of(K::Campaign, "word_bits");
   const Row ports = row_of(K::Campaign, "ports");
-  const Row arch = own("--arch", of_cli<&CliValues::arch>,
-                       "ucode|pfsm|hardwired", "controller architecture",
-                       "ucode");
+  const auto arch = [](std::string_view names) {
+    return own("--arch", of_cli<&CliValues::arch>, names,
+               "controller architecture", "ucode");
+  };
   const Row flat =
       own("--flat", of_cli<&CliValues::flat>, "", "no Repeat fold");
   static const std::vector<Command> kCommands{
@@ -653,13 +574,13 @@ const std::vector<Command>& commands() {
        {jobs}},
       {"assemble", "compile an algorithm, print the program listing",
        cmd_assemble, {},
-       {algorithm, arch, flat,
+       {algorithm, arch(kAssembleArchs), flat,
         own("--hex", of_cli<&CliValues::hex>, "", "portable hex image")}},
       {"qualify", "static detection guarantees per fault class", cmd_qualify,
        {}, {algorithm, jobs}},
       {"run", "cycle-accurate BIST run on one memory", cmd_run, {},
-       {optional_algorithm("omit with --program"), arch, addr_bits, word_bits,
-        ports,
+       {optional_algorithm("omit with --program"), arch(kRunArchs), addr_bits,
+        word_bits, ports,
         own("--fault", of_req<&serve::Request::fault_classes>, "CLASS",
             "inject one sampled fault of this class"),
         row_of(K::Campaign, "seed"), flat,
@@ -668,19 +589,19 @@ const std::vector<Command>& commands() {
       {"area", "area report of all architectures for a geometry", cmd_area,
        {}, {addr_bits, word_bits, ports}},
       {"coverage", "fault-simulation campaign for one algorithm",
-       cmd_coverage, K::Campaign, {}},
+       cmd_request, K::Campaign, {}},
       {"export", "hardwired/programmable controller as Verilog", cmd_export,
        {},
        {optional_algorithm("its hardwired FSM (default: the microcode unit)"),
         addr_bits, word_bits, ports}},
       {"export-decoder", "microcode decoder + pFSM lower controller Verilog",
        cmd_export_decoder, {}, {}},
-      {"soc", "whole-chip scheduled BIST from a chip file", cmd_soc, K::Soc,
-       {}},
-      {"field", "in-field transparent BIST inside idle windows", cmd_field,
+      {"soc", "whole-chip scheduled BIST from a chip file", cmd_request,
+       K::Soc, {}},
+      {"field", "in-field transparent BIST inside idle windows", cmd_request,
        K::Field, {}},
       {"memtest", "march-test a block of host RAM (docs/BACKEND.md)",
-       cmd_memtest, K::Memtest, {}},
+       cmd_request, K::Memtest, {}},
       {"lint", "static verifier: march, ucode, pFSM, chip, profile, schedule",
        cmd_lint, K::Lint, {}},
       {"serve", "long-running BIST service, JSON in/out (docs/SERVE.md)",

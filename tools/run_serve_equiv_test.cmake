@@ -1,8 +1,9 @@
 # ctest driver for the serve/CLI equivalence contract (docs/SERVE.md):
 # the payload of every serve `result` must be byte-identical to the
-# stdout of the equivalent one-shot CLI invocation.  Serve's pipe mode
-# mirrors each payload verbatim to <payload-dir>/<id>.out, so the check
-# is a plain file diff — no JSON parsing in the test driver.
+# stdout of the equivalent one-shot CLI invocation, and its `exit` equal
+# to the CLI's exit code.  Serve's pipe mode mirrors each payload
+# verbatim to <payload-dir>/<id>.out, so the payload check is a plain
+# file diff — no JSON parsing in the test driver.
 #
 # Expects: -DPMBIST_CLI=<path> -DCHIP=<chip file> -DPROFILE=<profile file>
 #          -DWORK=<scratch directory>
@@ -27,7 +28,8 @@ file(WRITE ${WORK}/requests.ndjson
   "{\"id\":\"soc\",\"kind\":\"soc\",\"chip\":\"${chip_text}\",\"jobs\":1}\n"
   "{\"id\":\"field\",\"kind\":\"field\",\"chip\":\"${chip_text}\",\"profile\":\"${profile_text}\",\"jobs\":1}\n"
   "{\"id\":\"cov_saf\",\"kind\":\"campaign\",\"algorithm\":\"MATS\",\"addr_bits\":4,\"samples\":4,\"jobs\":1,\"classes\":[\"SAF\"]}\n"
-  "{\"id\":\"mem\",\"kind\":\"memtest\",\"size_mb\":1,\"backend\":\"sim\"}\n")
+  "{\"id\":\"mem\",\"kind\":\"memtest\",\"size_mb\":1,\"backend\":\"sim\"}\n"
+  "{\"id\":\"lint_bad\",\"kind\":\"lint\",\"input\":\"any(w0); up(r1)\"}\n")
 
 execute_process(
   COMMAND ${PMBIST_CLI} serve --payload-dir ${WORK}/payloads
@@ -47,13 +49,20 @@ set(cli_soc soc --chip ${CHIP} --jobs 1)
 set(cli_field field --chip ${CHIP} --profile ${PROFILE} --jobs 1)
 set(cli_cov_saf ${cli_cov} --fault SAF)
 set(cli_mem memtest --size 1M --backend sim)
+set(cli_lint_bad lint "any(w0)\; up(r1)")  # MA03: exits 1
 
-foreach(pair "cov" "lint" "soc" "field" "cov_saf" "mem")
+file(READ ${WORK}/events.ndjson events)
+foreach(pair "cov" "lint" "soc" "field" "cov_saf" "mem" "lint_bad")
   execute_process(
     COMMAND ${PMBIST_CLI} ${cli_${pair}}
     OUTPUT_FILE ${WORK}/${pair}.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "pmbist ${cli_${pair}} exited ${rc}")
+  # A result event opens with its event, id and exit members, in order.
+  if(NOT events MATCHES "\"event\":\"result\",\"id\":\"${pair}\",\"exit\":([0-9]+)")
+    message(FATAL_ERROR "serve sent no result for '${pair}'")
+  endif()
+  if(NOT rc EQUAL CMAKE_MATCH_1)
+    message(FATAL_ERROR "pmbist ${cli_${pair}} exited ${rc}, but serve "
+                        "'${pair}' has exit ${CMAKE_MATCH_1}")
   endif()
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
