@@ -19,7 +19,7 @@
 // on the same number of threads (the memory-bandwidth ceiling).
 //
 // Emits BENCH_backend.json with the gate verdicts, a sim-vs-hostram
-// throughput table (sustained read/write GB/s per configuration) and the
+// throughput table (sustained read/write GiB/s per configuration) and the
 // layer table.
 
 #include <algorithm>
@@ -64,7 +64,7 @@ std::string report_body(const backend::MemtestReport& report) {
   return text.substr(text.find('\n') + 1);
 }
 
-/// Sustained read/write GB/s with the formatter's attribution rule: a
+/// Sustained read/write GiB/s with the formatter's attribution rule: a
 /// mixed phase's wall time splits between reads and writes in proportion
 /// to bytes moved.
 std::pair<double, double> sustained_gbps(const backend::MemtestReport& r) {
@@ -84,7 +84,7 @@ std::pair<double, double> sustained_gbps(const backend::MemtestReport& r) {
           ws > 0.0 ? wb_total / kGiB / ws : 0.0};
 }
 
-/// GB/s over the engine's write-only, read-only and mixed phases.
+/// GiB/s over the engine's write-only, read-only and mixed phases.
 struct PhaseRates {
   double write_only = 0.0;
   double read_only = 0.0;
@@ -236,7 +236,7 @@ int main() {
     const auto [rd, wr] = sustained_gbps(r);
     const std::string bname{backend::to_string(kind)};
     sweep.push_back({bname, bytes, rd, wr, r.wall_seconds});
-    std::printf("  %-8s %6llu MiB  read %8.2f GB/s  write %8.2f GB/s  "
+    std::printf("  %-8s %6llu MiB  read %8.2f GiB/s  write %8.2f GiB/s  "
                 "wall %7.3f s\n", bname.c_str(),
                 static_cast<unsigned long long>(bytes >> 20), rd, wr,
                 r.wall_seconds);
@@ -278,7 +278,7 @@ int main() {
               static_cast<unsigned long long>(host_point.buffer_bytes >> 20),
               threads);
   for (const auto& [name, gbps] : layers)
-    std::printf("    %-30s %8.2f GB/s\n", name, gbps);
+    std::printf("    %-30s %8.2f GiB/s\n", name, gbps);
   std::printf("    %-30s %8.2f\n\n", "engine / fill + verify", ceiling_frac);
   c.check(raw.verified, "the raw fill + verify loop reads back its pattern");
 

@@ -54,8 +54,9 @@ HostRamBackend::HostRamBackend(MemoryGeometry geometry, HostRamOptions options)
                          " bytes failed: " + std::strerror(errno)};
     }
 #ifdef MADV_HUGEPAGE
-    if (options.request_huge_pages) {
-      // Best effort: let transparent huge pages coalesce the region.
+    if (mapped >= kHugePageBytes) {
+      // Best effort: let transparent huge pages back the region, so a
+      // large buffer faults in 2 MiB at a time rather than 4 KiB.
       (void)madvise(mapping, mapped, MADV_HUGEPAGE);
     }
 #endif

@@ -12,12 +12,13 @@
 // honors the same access contract as the simulator (and produces the same
 // values the march expansion expects).
 //
-// Huge pages are a request, not a requirement: when
+// Every normal mapping of at least 2 MiB is madvise(MADV_HUGEPAGE)d, so
+// transparent huge pages can back it where the host allows.  Explicit huge
+// pages are a request, not a requirement: when
 // HostRamOptions::request_huge_pages is set the backend first tries
 // MAP_HUGETLB and, if the kernel refuses (no hugetlb pool configured),
-// falls back to a normal mapping plus madvise(MADV_HUGEPAGE) so
-// transparent huge pages can still coalesce it.  huge_pages() reports what
-// actually happened.
+// falls back to the normal mapping.  huge_pages() reports whether the
+// MAP_HUGETLB mapping was obtained; transparent huge pages do not count.
 //
 // fence() is a sequentially-consistent std::atomic_thread_fence — the
 // memtest engine issues one at every shard barrier so each march element's
@@ -54,7 +55,8 @@ class HostRamBackend final : public memsim::Memory {
   [[nodiscard]] std::span<Word> mapped_words() {
     return {words_, geometry().num_words()};
   }
-  /// Whether the mapping actually uses huge pages.
+  /// Whether the mapping is a MAP_HUGETLB one (transparent huge pages
+  /// backing a normal mapping do not count).
   [[nodiscard]] bool huge_pages() const noexcept { return huge_pages_; }
   /// Page size of the mapping.
   [[nodiscard]] std::size_t page_bytes() const noexcept { return page_bytes_; }

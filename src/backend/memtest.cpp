@@ -9,6 +9,7 @@
 #include <span>
 
 #include "backend/hostram_backend.h"
+#include "backend/memtest_walk.h"
 #include "bist/misr.h"
 #include "common/thread_pool.h"
 #include "march/coverage.h"
@@ -36,18 +37,15 @@ struct ShardState {
 /// Addresses per signature block of the direct-map kernel.
 constexpr std::size_t kBlockWords = 256;
 
-struct KernelOp {
-  Word value;  ///< written value, or expected value for reads
-  bool read;
-};
-
 /// One march element under one background, built once per run for the
-/// direct-map walk: background-applied op values plus the block fold of
-/// the element's expected reads (the same p reads at every address).
+/// direct-map walk: background-applied op values, the block fold of the
+/// element's expected reads (the same p reads at every address) and the
+/// SMi shape whose walk runs it (-1: the generic walk).
 struct ElementKernel {
   std::vector<KernelOp> ops;
   std::vector<std::size_t> read_ops;  ///< position in `ops` of each read
   bist::PeriodicFold fold;
+  int shape = -1;
 };
 
 ElementKernel make_kernel(const march::MarchElement& el, Word bg, Word mask,
@@ -63,36 +61,11 @@ ElementKernel make_kernel(const march::MarchElement& el, Word bg, Word mask,
     }
     ops.push_back(KernelOp{value, op.is_read()});
   }
+  const int shape = walk_shape(ops);
   return ElementKernel{std::move(ops), std::move(read_ops),
                        bist::PeriodicFold{misr_width, std::move(reads),
-                                          kBlockWords}};
-}
-
-/// Applies `ops` to `count` consecutive cells starting at `first`,
-/// stepping by `Step`.  Writes are plain stores; a read that differs from
-/// its expected value is recorded in `hits` (index = read number within
-/// the block).  Returns the number of hits.
-template <int Step>
-std::size_t walk_block(Word* first, std::size_t count,
-                       std::span<const KernelOp> ops,
-                       bist::MisrDeviation* hits) {
-  std::size_t num_hits = 0;
-  std::uint32_t read_index = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    Word& cell = first[Step * static_cast<std::ptrdiff_t>(i)];
-    for (const KernelOp& op : ops) {
-      if (!op.read) {
-        cell = op.value;
-        continue;
-      }
-      const Word actual = cell;
-      if (actual != op.value) [[unlikely]] {
-        hits[num_hits++] = bist::MisrDeviation{read_index, actual};
-      }
-      ++read_index;
-    }
-  }
-  return num_hits;
+                                          kBlockWords},
+                       shape};
 }
 
 }  // namespace
@@ -241,25 +214,25 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
     }
   };
 
-  // Direct-map kernel: walk a block of kBlockWords addresses with plain
-  // loads and stores, then advance the signature once per block (MISR
-  // linearity); only a block with a mismatch is folded read by read.
+  // Direct-map kernel: walk a block of kBlockWords addresses with the
+  // element's shape walk (memtest_walk.h), then advance the signature once
+  // per block (MISR linearity); only a block with a mismatch is folded
+  // read by read.
   const auto run_direct = [&](ShardState& st, std::size_t base,
                               const march::MarchElement& el,
                               const ElementKernel& kernel) {
     const bool descending = el.order == march::AddressOrder::Down;
     const std::size_t per_address = kernel.read_ops.size();
     const std::size_t num_ops = kernel.ops.size();
+    const BlockWalk walk = block_walk(kernel.shape, descending);
     std::vector<bist::MisrDeviation> hits(per_address * kBlockWords);
     for (std::size_t first = 0; first < words_per_shard;
          first += kBlockWords) {
       const std::size_t count = std::min(kBlockWords, words_per_shard - first);
       const std::size_t num_hits =
-          descending
-              ? walk_block<-1>(&direct[base + words_per_shard - 1 - first],
-                               count, kernel.ops, hits.data())
-              : walk_block<1>(&direct[base + first], count, kernel.ops,
-                              hits.data());
+          walk(&direct[descending ? base + words_per_shard - 1 - first
+                                  : base + first],
+               count, kernel.ops, hits.data());
       for (std::size_t h = 0; h < num_hits; ++h) {
         const std::size_t i = first + hits[h].index / per_address;
         const std::size_t k = hits[h].index % per_address;
@@ -271,6 +244,7 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
       }
       kernel.fold.fold(st.misr, count, {hits.data(), num_hits});
     }
+    stream_fence();  // the SM0 walk streams; see memtest_walk.h
     st.op_index += words_per_shard * num_ops;
     st.run.reads += words_per_shard * per_address;
     st.run.writes += words_per_shard * (num_ops - per_address);
@@ -293,6 +267,21 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
           "error injection requires an algorithm with a read-led march "
           "element"};
     }
+  }
+
+  // Fault the mapping in before the timed phases, one zero store per page
+  // (contents stay zero-filled, like the sim's).
+  if (hostram) {
+    constexpr std::size_t kPageWords = 4096 / sizeof(Word);
+    const auto prefault_start = Clock::now();
+    common::parallel_shards(options.jobs, shards, [&](int shard) {
+      const std::size_t base =
+          static_cast<std::size_t>(shard) * words_per_shard;
+      for (std::size_t i = 0; i < words_per_shard; i += kPageWords) {
+        direct[base + i] = 0;
+      }
+    });
+    report.prefault_seconds = seconds_since(prefault_start);
   }
 
   const auto wall_start = Clock::now();
@@ -434,7 +423,7 @@ std::string format_memtest_throughput(const MemtestReport& report) {
     const double gbps =
         p.seconds > 0.0 ? (rb + wb) / kGiB / p.seconds : 0.0;
     std::snprintf(line, sizeof line,
-                  "phase[%zu] %s: %.3f GiB touched, %.3f s, %.2f GB/s\n", i,
+                  "phase[%zu] %s: %.3f GiB touched, %.3f s, %.2f GiB/s\n", i,
                   p.element.c_str(), (rb + wb) / kGiB, p.seconds, gbps);
     out += line;
     // Attribute a mixed phase's wall time to reads and writes in
@@ -452,10 +441,15 @@ std::string format_memtest_throughput(const MemtestReport& report) {
   const double sustained_write =
       write_seconds > 0.0 ? write_bytes_total / kGiB / write_seconds : 0.0;
   std::snprintf(line, sizeof line,
-                "sustained: read %.2f GB/s, write %.2f GB/s%s\n",
+                "sustained: read %.2f GiB/s, write %.2f GiB/s%s\n",
                 sustained_read, sustained_write,
                 report.huge_pages ? " (huge pages)" : "");
   out += line;
+  if (report.prefault_seconds > 0.0) {
+    std::snprintf(line, sizeof line, "prefault %.3f s (untimed)\n",
+                  report.prefault_seconds);
+    out += line;
+  }
   std::snprintf(line, sizeof line, "wall %.3f s\n", report.wall_seconds);
   out += line;
   return out;

@@ -17,7 +17,7 @@
 //
 // March elements are barriers: all shards finish element k (with a
 // backend fence) before any shard starts element k+1.  Per-element wall
-// time across those barriers is what the GB/s report measures.
+// time across those barriers is what the GiB/s report measures.
 //
 // docs/BACKEND.md documents the engine; ```memtest-check fences there are
 // executed by test_docs.
@@ -47,7 +47,8 @@ struct MemtestOptions {
   /// identical for every value.
   int jobs = 0;
   BackendKind backend = BackendKind::HostRam;
-  /// Ask the hostram backend for huge pages (graceful fallback).
+  /// Ask the hostram backend for MAP_HUGETLB pages (graceful fallback;
+  /// buffers of 2 MiB or more get transparent huge pages either way).
   bool huge_pages = false;
   int misr_width = 32;
   std::size_t max_failures = 64;
@@ -77,7 +78,7 @@ struct MemtestReport {
   int shards = 0;
   int passes = 0;
   int backgrounds = 0;
-  bool huge_pages = false;  ///< hostram backing actually used huge pages
+  bool huge_pages = false;  ///< hostram backing is a MAP_HUGETLB mapping
   bool injected = false;    ///< an error was deliberately injected
   bool completed = true;    ///< false when cancelled mid-run
 
@@ -92,6 +93,8 @@ struct MemtestReport {
 
   std::vector<MemtestPhase> phases;  ///< one per march element
   double wall_seconds = 0.0;
+  /// Faulting the hostram mapping in, before (and outside) wall_seconds.
+  double prefault_seconds = 0.0;
 
   [[nodiscard]] bool passed() const noexcept {
     return completed && mismatches == 0;
@@ -121,7 +124,8 @@ struct MemtestReport {
 /// --jobs value and, fault-free, for both backends.  No timing data.
 [[nodiscard]] std::string format_memtest_report(const MemtestReport& report);
 
-/// Timing view (stderr): per-phase and sustained read/write GB/s.
+/// Timing view (stderr): per-phase and sustained read/write GiB/s, and
+/// the untimed pre-fault step.
 [[nodiscard]] std::string format_memtest_throughput(
     const MemtestReport& report);
 

@@ -118,7 +118,7 @@ constexpr Row kMemtest[] = {
      .help = "host RAM, or the behavioral simulator"},
     kMaxFailures,
     {.flag = "--huge-pages", .slot = of_cli<&C::huge_pages>,
-     .help = "ask for huge pages"},
+     .help = "try MAP_HUGETLB pages first (THP is on from 2 MiB anyway)"},
     {.flag = "--inject", .slot = of_cli<&C::inject>,
      .help = "flip one bit mid-run (must FAIL)"},
 };

@@ -141,7 +141,7 @@ struct Request {
 /// carries them), and the kind name a line or `submit --req` gives.
 struct CliValues {
   bool inject = false;        ///< memtest: flip one bit mid-run (self-test)
-  bool huge_pages = false;    ///< memtest: ask for huge pages
+  bool huge_pages = false;    ///< memtest: try MAP_HUGETLB pages first
   bool fix = false;           ///< lint: rewrite the input file in place
   std::string emit_schedule;  ///< soc/field: write the schedule file here
   /// memtest --size in bytes: the wire's size_mb cannot say "below 1 MiB".

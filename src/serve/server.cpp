@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -41,8 +43,14 @@ struct Server::TcpState {
   std::atomic<bool> stopping{false};
   std::atomic<int> listen_fd{-1};
   std::mutex mu;
-  std::vector<int> client_fds;
-  std::vector<std::thread> readers;
+  std::condition_variable reader_done;
+  /// Reader thread of each open connection, by client fd.  A reader takes
+  /// its entry out before it closes the fd, so shutdown() only ever sees
+  /// fds that are still open.
+  std::map<int, std::thread> readers;
+  /// The reader that finished last; the next one to finish (or serve_tcp
+  /// on its way out) joins it.
+  std::thread finished;
 };
 
 Server::Server(ServerOptions options)
@@ -66,6 +74,11 @@ void Server::emit(const Sink& sink, const std::string& line) {
 }
 
 std::optional<std::string> Server::post(const std::string& line, Sink sink) {
+  return submit(line, std::move(sink), nullptr);
+}
+
+std::optional<std::string> Server::submit(const std::string& line, Sink sink,
+                                          std::size_t* in_flight) {
   Request req;
   try {
     req = parse_request(line);
@@ -105,6 +118,8 @@ std::optional<std::string> Server::post(const std::string& line, Sink sink) {
       return std::nullopt;
     }
     sessions_.emplace(req.id, session);
+    session->in_flight = in_flight;
+    if (in_flight != nullptr) ++*in_flight;
   }
   // `accepted` goes out before post() returns, so a client always sees it
   // ahead of any progress/terminal event of the same request.
@@ -148,6 +163,7 @@ void Server::run_session(const Request& req,
     std::lock_guard lock{registry_mu_};
     sessions_.erase(req.id);
     ++completed_;
+    if (session->in_flight != nullptr) --*session->in_flight;
   }
   registry_cv_.notify_all();
 }
@@ -278,10 +294,9 @@ int Server::serve_tcp(int port, const std::function<void(int)>& ready,
       continue;
     }
     std::lock_guard lock{tcp_->mu};
-    tcp_->client_fds.push_back(cfd);
-    tcp_->readers.emplace_back([this, cfd] {
+    tcp_->readers.emplace(cfd, std::thread{[this, cfd] {
       Sink sink = [cfd](const std::string& line) { send_all(cfd, line); };
-      std::vector<std::string> posted;  ///< session ids of this connection
+      std::size_t in_flight = 0;  ///< sessions of this connection
       std::string pending;
       char buf[4096];
       for (;;) {
@@ -293,27 +308,36 @@ int Server::serve_tcp(int port, const std::function<void(int)>& ready,
           const std::string line = pending.substr(0, nl);
           pending.erase(0, nl + 1);
           if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-          if (auto id = post(line, sink)) posted.push_back(std::move(*id));
+          submit(line, sink, &in_flight);
         }
       }
       // Drain this connection's sessions before closing the socket, so a
       // client that half-closes after its last request still receives
       // every terminal event.
-      for (const std::string& id : posted) wait_finished(id);
+      {
+        std::unique_lock lock{registry_mu_};
+        registry_cv_.wait(lock, [&] { return in_flight == 0; });
+      }
+      std::thread previous;
+      {
+        std::lock_guard tcp_lock{tcp_->mu};
+        previous = std::exchange(tcp_->finished,
+                                 std::move(tcp_->readers.extract(cfd).mapped()));
+      }
+      tcp_->reader_done.notify_all();
       ::close(cfd);
-    });
+      if (previous.joinable()) previous.join();
+    }});
   }
 
+  std::thread last;
   {
-    std::lock_guard lock{tcp_->mu};
-    for (const int cfd : tcp_->client_fds) ::shutdown(cfd, SHUT_RD);
+    std::unique_lock lock{tcp_->mu};
+    for (const auto& [cfd, reader] : tcp_->readers) ::shutdown(cfd, SHUT_RD);
+    tcp_->reader_done.wait(lock, [&] { return tcp_->readers.empty(); });
+    last = std::move(tcp_->finished);
   }
-  for (auto& reader : tcp_->readers) reader.join();
-  {
-    std::lock_guard lock{tcp_->mu};
-    tcp_->readers.clear();
-    tcp_->client_fds.clear();
-  }
+  if (last.joinable()) last.join();
   ::close(fd);
   tcp_->listen_fd.store(-1);
   return 0;

@@ -105,8 +105,8 @@ class Server {
   /// Blocking TCP transport on 127.0.0.1:`port` (0 = ephemeral).  Invokes
   /// `ready` with the bound port once listening.  Returns after shutdown()
   /// (0) or a socket setup failure (-1, message on the `error` out-param
-  /// when given).  One reader thread per connection; sessions from all
-  /// connections share the pool.
+  /// when given).  One reader thread per connection, joined once its
+  /// connection has closed; sessions from all connections share the pool.
   int serve_tcp(int port, const std::function<void(int bound_port)>& ready = {},
                 std::string* error = nullptr);
 
@@ -131,6 +131,10 @@ class Server {
   }
 
  private:
+  /// post(), counting a queued session in `*in_flight` (when non-null)
+  /// until its terminal event.
+  std::optional<std::string> submit(const std::string& line, Sink sink,
+                                    std::size_t* in_flight);
   void run_session(const Request& req, const std::shared_ptr<Session>& session,
                    const Sink& sink);
   [[nodiscard]] std::string stats_payload() const;

@@ -11,6 +11,7 @@
 // error, which keeps cancel semantics unambiguous.
 
 #include <atomic>
+#include <cstddef>
 #include <string>
 
 namespace pmbist::serve {
@@ -19,6 +20,10 @@ struct Session {
   std::string id;
   /// Set by a `cancel` request; engines poll it between shards.
   std::atomic<bool> cancel{false};
+  /// The posting TCP connection's count of unfinished sessions, which
+  /// the terminal event decrements (null for in-process posts).  Guarded
+  /// by the server's registry mutex.
+  std::size_t* in_flight = nullptr;
 };
 
 }  // namespace pmbist::serve

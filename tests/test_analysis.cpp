@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "march/analysis.h"
 #include "march/library.h"
 
@@ -102,19 +104,19 @@ void expect_verdicts_match_fault_simulation(const char* name) {
   }
 }
 
-// The parameter holds a const char*, which gtest prints as the string's
-// run-time address, and ctest appends that print to each case name: the
-// tail of every parameterised name changes from build to build (ASLR), and
-// its head depends on where the strings sit in this file's string table.
-// MATS, whose name is the shortest, so that even its head reached the
-// random part, is checked in a plain test with a fixed name.
+// ctest appends gtest's print of the parameter to each case name, so the
+// parameter prints as its algorithm name (PrintTo below): the names are
+// fixed by value, as CampaignEquivalence's are.  MATS is checked in a
+// plain test of its own.
 struct CrossCase {
   const char* alg;
 };
 
-// Every library algorithm of the sweep, MATS first. Keeping MATS at the
-// head of this list keeps the string table, and so the names of the
-// parameterised cases, as they were when MATS was one of them.
+void PrintTo(const CrossCase& c, std::ostream* os) {
+  *os << '"' << c.alg << '"';
+}
+
+// Every library algorithm of the sweep, MATS first.
 std::vector<CrossCase> library_sweep() {
   return {{"MATS"},     {"MATS+"},    {"MATS++"},    {"March X"},
           {"March Y"},  {"March C"},  {"March C (orig)"}, {"March U"},

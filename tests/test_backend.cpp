@@ -9,12 +9,16 @@
 //   * memtest results are pure functions of (algorithm, size, passes,
 //     backgrounds) — never of --jobs — and injected mismatches are caught
 //     on both backends;
+//   * every SMi shape walk of the direct-map kernel returns the same hits
+//     and leaves the same memory as the generic walk;
 //   * the soc scheduler and field manager run fault-free chips on either
 //     backend with identical reports, and reject hostram + fault injection;
 //   * the calibrated power model anchors at the reference geometry and
 //     pins old-vs-new schedule feasibility.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -25,13 +29,16 @@
 #include "backend/backend.h"
 #include "backend/hostram_backend.h"
 #include "backend/memtest.h"
+#include "backend/memtest_walk.h"
 #include "bist/session.h"
 #include "field/manager.h"
 #include "field/profile.h"
+#include "march/expand.h"
 #include "march/library.h"
 #include "march/march.h"
 #include "march/parser.h"
 #include "mbist_hardwired/controller.h"
+#include "mbist_pfsm/components.h"
 #include "memsim/faulty_memory.h"
 #include "memsim/memory.h"
 #include "netlist/tech_library.h"
@@ -139,6 +146,39 @@ TEST(HostRamBackendTest, HugePageRequestDegradesGracefully) {
   EXPECT_GT(ram.page_bytes(), 0u);
   ram.write(0, 0, 1);
   EXPECT_EQ(ram.read(0, 0), 1u);
+}
+
+/// Deterministic report minus the header line, which names the backend.
+std::string report_body(const backend::MemtestReport& report) {
+  const auto text = backend::format_memtest_report(report);
+  return text.substr(text.find('\n') + 1);
+}
+
+TEST(HostRamBackendTest, LargeMappingWithoutRequestIsNotHugetlb) {
+  // 4 MiB gets transparent huge pages by default; that is not a
+  // MAP_HUGETLB mapping, and it changes neither contents nor reports.
+  const memsim::MemoryGeometry g{.address_bits = 19, .word_bits = 64,
+                                 .num_ports = 1};
+  {
+    backend::HostRamBackend ram{g};
+    EXPECT_FALSE(ram.huge_pages());
+    EXPECT_EQ(ram.page_bytes(),
+              static_cast<std::size_t>(sysconf(_SC_PAGESIZE)));
+    for (const auto word : ram.mapped_words()) ASSERT_EQ(word, 0u);
+  }
+  backend::MemtestOptions opts;
+  opts.size_bytes = g.num_words() * sizeof(backend::Word);
+  opts.backgrounds = 2;
+  const auto ram = backend::run_memtest(march::march_c(), opts);
+  EXPECT_FALSE(ram.huge_pages);
+  opts.huge_pages = true;
+  const auto requested = backend::run_memtest(march::march_c(), opts);
+  opts.backend = BackendKind::Sim;
+  const auto sim = backend::run_memtest(march::march_c(), opts);
+  EXPECT_EQ(backend::format_memtest_report(ram),
+            backend::format_memtest_report(requested));
+  EXPECT_EQ(report_body(ram), report_body(sim));
+  EXPECT_TRUE(ram.passed());
 }
 
 // --- the sim backend's memory -----------------------------------------
@@ -259,12 +299,6 @@ TEST(MemtestEquivalenceTest, FuzzedAlgorithmsAgreeAcrossBackends) {
 
 // --- memtest: block kernel vs behavioral reference --------------------
 
-/// Deterministic report minus the header line, which names the backend.
-std::string report_body(const backend::MemtestReport& report) {
-  const auto text = backend::format_memtest_report(report);
-  return text.substr(text.find('\n') + 1);
-}
-
 /// Runs `alg` on the simulator (the serial reference: one MISR clock per
 /// read) and through hostram's direct-map block kernel, and expects the
 /// same report body and the same failure log, op indices included.
@@ -340,6 +374,150 @@ TEST(MemtestKernelTest, MismatchingAlgorithmsMatchSimAcrossJobsAndCaps) {
   }
 }
 
+// --- memtest: SMi shape walks vs the generic walk ---------------------
+
+std::vector<backend::KernelOp> kernel_ops(
+    const std::vector<march::MarchOp>& ops, backend::Word bg) {
+  std::vector<backend::KernelOp> out;
+  for (const march::MarchOp& op : ops) {
+    out.push_back({march::apply_background(op.data, bg, ~backend::Word{0}),
+                   op.is_read()});
+  }
+  return out;
+}
+
+TEST(MemtestWalkTest, EveryCannedComponentHasItsShapeWalk) {
+  for (const auto& comp : mbist_pfsm::component_set()) {
+    for (const bool d : {false, true}) {
+      EXPECT_EQ(backend::walk_shape(
+                    kernel_ops(mbist_pfsm::realize(comp.id, d), 0)),
+                comp.id);
+    }
+  }
+  // March B's 6-op element and a double write are no component.
+  const auto march_b = march::by_name("March B");
+  const auto six = std::find_if(
+      march_b.elements().begin(), march_b.elements().end(),
+      [](const auto& el) { return el.ops.size() == 6; });
+  ASSERT_NE(six, march_b.elements().end());
+  EXPECT_EQ(backend::walk_shape(kernel_ops(six->ops, 0)), -1);
+  EXPECT_EQ(backend::walk_shape(kernel_ops(
+                march::parse("any(w0,w1)", "ww").elements()[0].ops, 0)),
+            -1);
+}
+
+TEST(MemtestWalkTest, ShapeWalksMatchTheGenericWalk) {
+  // Each SMi walk against the generic walk, both directions, on cell
+  // contents that match the leading reads, that hold one or a few bad
+  // cells, or that are random; with op values that follow d/~d under a
+  // background and with arbitrary ones (post-write reads that mismatch).
+  // Hits and the final memory, guard words included, must be identical.
+  constexpr std::size_t kGuard = 8;
+  std::mt19937_64 rng{0x5A11'0ABCu};
+  const auto backgrounds = march::standard_backgrounds(64);
+  int walks = 0;
+  for (int shape = 0; shape < backend::kNumWalkShapes; ++shape) {
+    const auto& comp = mbist_pfsm::component_set()[static_cast<std::size_t>(shape)];
+    for (const bool descending : {false, true}) {
+      for (const std::size_t count : {std::size_t{1}, std::size_t{7},
+                                      std::size_t{64}, std::size_t{200},
+                                      std::size_t{256}}) {
+        for (int trial = 0; trial < 24; ++trial) {
+          SCOPED_TRACE(::testing::Message()
+                       << "SM" << shape << (descending ? " down" : " up")
+                       << " count " << count << " trial " << trial);
+          const backend::Word bg = backgrounds[rng() % backgrounds.size()];
+          auto ops = kernel_ops(mbist_pfsm::realize(shape, rng() & 1), bg);
+          if (trial % 4 == 3) {
+            for (auto& op : ops) op.value = rng() % 3 == 0 ? rng() : op.value;
+          }
+          const backend::Word lead =
+              ops.front().read ? ops.front().value : rng();
+          std::vector<backend::Word> cells(count + 2 * kGuard);
+          for (std::size_t i = 0; i < cells.size(); ++i) {
+            cells[i] = trial % 3 == 2 ? rng() : lead;
+          }
+          if (trial % 3 == 1) {
+            for (int bad = 0; bad < 1 + trial % 4; ++bad) {
+              cells[kGuard + rng() % count] ^= backend::Word{1} << (rng() % 64);
+            }
+          }
+          auto generic_cells = cells;
+          auto shaped_cells = cells;
+          const std::size_t reads = static_cast<std::size_t>(std::count_if(
+              ops.begin(), ops.end(), [](const auto& op) { return op.read; }));
+          std::vector<bist::MisrDeviation> generic_hits(reads * count + 1);
+          std::vector<bist::MisrDeviation> shaped_hits(reads * count + 1);
+          const std::size_t start = descending ? kGuard + count - 1 : kGuard;
+          const std::size_t generic_n = backend::block_walk(-1, descending)(
+              &generic_cells[start], count, ops, generic_hits.data());
+          ASSERT_EQ(backend::walk_shape(ops), comp.id);
+          const std::size_t shaped_n = backend::block_walk(shape, descending)(
+              &shaped_cells[start], count, ops, shaped_hits.data());
+          backend::stream_fence();
+          ASSERT_EQ(shaped_n, generic_n);
+          for (std::size_t h = 0; h < generic_n; ++h) {
+            EXPECT_EQ(shaped_hits[h].index, generic_hits[h].index);
+            EXPECT_EQ(shaped_hits[h].actual, generic_hits[h].actual);
+          }
+          EXPECT_EQ(shaped_cells, generic_cells);
+          ++walks;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(walks, 8 * 2 * 5 * 24);
+}
+
+TEST(MemtestKernelTest, ShapeWalksMatchSimWithMismatchesInjectionAndCaps) {
+  // Every SMi as an element after a w0 sweep, in both orders, under all
+  // seven backgrounds (three on the multi-shard size): with d = 0 its
+  // leading reads match, with d = 1 they mismatch everywhere.  SM2/SM7 shapes whose post-write read
+  // expects the other value mismatch everywhere too.  512 B and 1 KiB end
+  // the single shard inside one 256-word block; 64 KiB is 16 shards.
+  std::vector<march::MarchAlgorithm> corpus{
+      march::parse("any(w0); up(r0,w1,r0)", "sm7-post-write-mismatch"),
+      march::parse("any(w1); down(r1,w0,r1,w1)", "sm2-post-write-mismatch"),
+  };
+  for (const auto& comp : mbist_pfsm::component_set()) {
+    for (const auto order : {march::AddressOrder::Up, march::AddressOrder::Down}) {
+      for (const bool d : {false, true}) {
+        march::MarchElement init;
+        init.order = march::AddressOrder::Any;
+        init.ops = {march::MarchOp{march::MarchOp::Kind::Write, false}};
+        march::MarchElement element;
+        element.order = order;
+        element.ops = mbist_pfsm::realize(comp.id, d);
+        // A trailing read-led element observes what the shape wrote.
+        march::MarchElement check;
+        check.order = march::AddressOrder::Up;
+        check.ops = {march::MarchOp{march::MarchOp::Kind::Read, true}};
+        corpus.emplace_back(
+            "SM" + std::to_string(comp.id),
+            std::vector<march::MarchElement>{init, element, check});
+      }
+    }
+  }
+  for (const auto& alg : corpus) {
+    SCOPED_TRACE(alg.to_string());
+    ASSERT_TRUE(alg.validate().empty());
+    for (const std::uint64_t size : {512u, 1024u, 64u << 10}) {
+      SCOPED_TRACE(size);
+      for (const std::size_t cap : {std::size_t{3}, std::size_t{1} << 20}) {
+        backend::MemtestOptions opts;
+        opts.size_bytes = size;
+        opts.backgrounds = size > 1024 ? 3 : 0;
+        opts.max_failures = cap;
+        expect_kernel_matches_sim(alg, opts, {1, 4});
+        opts.inject_error = true;
+        const auto injected = expect_kernel_matches_sim(alg, opts, {1, 4});
+        EXPECT_TRUE(injected.injected);
+        EXPECT_GT(injected.mismatches, 0u);
+      }
+    }
+  }
+}
+
 // --- memtest: determinism, reporting, injection -----------------------
 
 TEST(MemtestTest, ReportIsByteIdenticalAcrossJobs) {
@@ -364,6 +542,16 @@ TEST(MemtestTest, ReportCarriesTheContractLines) {
   const auto timing = backend::format_memtest_throughput(report);
   EXPECT_NE(timing.find("sustained: read "), std::string::npos);
   EXPECT_NE(timing.find("wall "), std::string::npos);
+  // Only hostram faults a mapping in, outside the timed phases.
+  EXPECT_EQ(timing.find("prefault "), std::string::npos);
+  const auto ram = run_small(march::by_name("MATS+"), BackendKind::HostRam);
+  EXPECT_GT(ram.prefault_seconds, 0.0);
+  const auto ram_timing = backend::format_memtest_throughput(ram);
+  EXPECT_NE(ram_timing.find("prefault "), std::string::npos);
+  EXPECT_NE(ram_timing.find(" GiB/s"), std::string::npos);
+  EXPECT_EQ(ram_timing.find(" GB/s"), std::string::npos);
+  EXPECT_EQ(backend::format_memtest_report(ram).find("prefault"),
+            std::string::npos);
 }
 
 TEST(MemtestTest, PhasesCoverEveryMarchElement) {

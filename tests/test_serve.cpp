@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <climits>
@@ -995,6 +996,87 @@ TEST(ServeTcp, LoopbackRoundTrip) {
 
   server.shutdown();
   serving.join();
+}
+
+/// Threads of this process, per /proc/self/task.
+std::size_t task_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator{"/proc/self/task"})
+    ++n;
+  return n;
+}
+
+/// Virtual memory size of this process in KiB (VmSize, /proc/self/status).
+std::size_t vm_size_kib() {
+  std::ifstream status{"/proc/self/status"};
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(ServeTcp, SequentialConnectionsLeaveNoReadersOrFdsBehind) {
+  serve::Server server{{.sessions = 1}};
+  std::promise<int> port_promise;
+  auto port_future = port_promise.get_future();
+  std::thread serving{[&] {
+    std::string error;
+    const int rc = server.serve_tcp(
+        0, [&](int port) { port_promise.set_value(port); }, &error);
+    EXPECT_EQ(rc, 0) << error;
+  }};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port_future.get()));
+
+  // One request per connection; the client reads its reply and closes.
+  const auto connection = [&](int i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    const std::string line =
+        R"({"id":"s)" + std::to_string(i) + R"(","kind":"stats"})" "\n";
+    ASSERT_EQ(::send(fd, line.data(), line.size(), 0),
+              static_cast<ssize_t>(line.size()));
+    ::shutdown(fd, SHUT_WR);
+    char buf[4096];
+    while (::recv(fd, buf, sizeof buf, 0) > 0) {
+    }
+    ::close(fd);
+  };
+  for (int i = 0; i < 16; ++i) connection(i);
+  const std::size_t tasks_before = task_count();
+  const std::size_t vm_before = vm_size_kib();
+  for (int i = 16; i < 1000; ++i) connection(i);
+  // The last reader may still be on its way out.
+  std::size_t tasks_after = task_count();
+  for (int wait = 0; wait < 200 && tasks_after > tasks_before; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    tasks_after = task_count();
+  }
+  EXPECT_LE(tasks_after, tasks_before);
+  // An unjoined reader keeps its stack mapped (8 MiB by default): 984 of
+  // them would add gigabytes.
+  EXPECT_LT(vm_size_kib(), vm_before + (256u << 10));
+
+  // Fresh sockets now take the fd numbers the closed connections used;
+  // stopping the server must not shut any of them down.
+  std::vector<std::array<int, 2>> pairs(8);
+  for (auto& pair : pairs) {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair.data()), 0);
+  }
+  server.shutdown();
+  serving.join();
+  for (const auto& pair : pairs) {
+    EXPECT_EQ(::send(pair[1], "x", 1, MSG_NOSIGNAL), 1) << "fd " << pair[0];
+    EXPECT_EQ(::send(pair[0], "y", 1, MSG_NOSIGNAL), 1) << "fd " << pair[0];
+    ::close(pair[0]);
+    ::close(pair[1]);
+  }
 }
 
 }  // namespace
