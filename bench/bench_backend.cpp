@@ -14,15 +14,19 @@
 //     against a direct mapping vs virtual calls per access).
 //
 // It then splits the 256 MiB host-RAM point into layers: the engine end
-// to end and per phase kind, against a plain fill loop and a plain
-// fill-then-verify loop over a separately mapped buffer of the same size
-// on the same number of threads (the memory-bandwidth ceiling).
+// to end and per phase kind, against one raw loop per phase kind (a
+// streaming fill, a vector verify, a verify + rewrite) over a separately
+// mapped buffer of the same size on the same number of threads, and their
+// mix in the engine's own phase bytes (the memory-bandwidth ceiling).  The
+// raw loops are the engine's own block walks (backend/memtest_walk.h) with
+// no march, op count or MISR around them.
 //
 // Emits BENCH_backend.json with the gate verdicts, a sim-vs-hostram
 // throughput table (sustained read/write GiB/s per configuration) and the
 // layer table.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <span>
@@ -33,6 +37,8 @@
 #include "backend/backend.h"
 #include "backend/hostram_backend.h"
 #include "backend/memtest.h"
+#include "backend/memtest_walk.h"
+#include "bist/misr.h"
 #include "bench_common.h"
 #include "common/thread_pool.h"
 #include "march/library.h"
@@ -84,6 +90,16 @@ std::pair<double, double> sustained_gbps(const backend::MemtestReport& r) {
           ws > 0.0 ? wb_total / kGiB / ws : 0.0};
 }
 
+/// 0: write-only phase, 1: read-only, 2: read+write.
+int phase_kind(const backend::MemtestPhase& p) {
+  return p.reads == 0 ? 0 : (p.writes == 0 ? 1 : 2);
+}
+
+double phase_gib(const backend::MemtestPhase& p) {
+  return static_cast<double>(p.reads + p.writes) * sizeof(backend::Word) /
+         kGiB;
+}
+
 /// GiB/s over the engine's write-only, read-only and mixed phases.
 struct PhaseRates {
   double write_only = 0.0;
@@ -92,70 +108,108 @@ struct PhaseRates {
 };
 
 PhaseRates phase_rates(const backend::MemtestReport& r) {
-  double bytes[3] = {0.0, 0.0, 0.0};
+  double gib[3] = {0.0, 0.0, 0.0};
   double secs[3] = {0.0, 0.0, 0.0};
   for (const auto& p : r.phases) {
     if (p.is_pause) continue;
-    const int kind = p.reads == 0 ? 0 : (p.writes == 0 ? 1 : 2);
-    bytes[kind] += static_cast<double>(p.reads + p.writes) *
-                   sizeof(backend::Word);
-    secs[kind] += p.seconds;
+    gib[phase_kind(p)] += phase_gib(p);
+    secs[phase_kind(p)] += p.seconds;
   }
   const auto rate = [&](int k) {
-    return secs[k] > 0.0 ? bytes[k] / kGiB / secs[k] : 0.0;
+    return secs[k] > 0.0 ? gib[k] / secs[k] : 0.0;
   };
   return {rate(0), rate(1), rate(2)};
 }
 
-/// The ceiling: a plain fill, and a plain fill followed by a verify,
-/// over a separately mapped buffer of `bytes`, split into `jobs` equal
-/// slices on the engine's worker pool.  Best of three after a first-touch
-/// fill, so page faults stay out of the figures.
+/// The ceiling: the engine's own block walks (backend/memtest_walk.h) with
+/// no march, op count or MISR around them, one per phase kind, over a
+/// separately mapped buffer of `bytes` cut into the engine's shards and
+/// run on `jobs` workers of its pool: a streaming fill (SM0 `w`), a vector
+/// verify (SM5 `r`), and a verify that rewrites each 256-word block once
+/// it is checked (SM1 `rw`).  Best of five after a first-touch fill, so
+/// page faults stay out of the figures.
 struct RawLoops {
-  double write_gbps = 0.0;
-  double rw_gbps = 0.0;  ///< fill + verify bytes over their summed time
+  double write_gbps = 0.0;    ///< streaming fill
+  double read_gbps = 0.0;     ///< vector verify
+  double rewrite_gbps = 0.0;  ///< verify + rewrite, bytes read and written
+  double rw_gbps = 0.0;       ///< fill + verify bytes over their summed time
   bool verified = true;
 };
 
 RawLoops raw_loops(std::uint64_t bytes, int jobs) {
   using Clock = std::chrono::steady_clock;
-  backend::HostRamBackend buffer{backend::memtest_geometry(bytes)};
+  const auto geometry = backend::memtest_geometry(bytes);
+  backend::HostRamBackend buffer{geometry};
   const std::span<backend::Word> words = buffer.mapped_words();
-  const std::size_t slice = words.size() / static_cast<std::size_t>(jobs);
-  const auto fill = [&](backend::Word pattern) {
-    common::parallel_shards(jobs, jobs, [&](int t) {
-      const auto first = words.begin() + static_cast<std::ptrdiff_t>(
-                                             slice * static_cast<std::size_t>(t));
-      std::fill(first, first + static_cast<std::ptrdiff_t>(slice), pattern);
+  const int shards = backend::memtest_shards(geometry);
+  const std::size_t slice = words.size() / static_cast<std::size_t>(shards);
+  std::vector<char> slice_ok(static_cast<std::size_t>(shards), 1);
+  // Runs the walk of SMi `shape` with `ops` over every shard, block by
+  // block as the engine does; a shard with any mismatch is marked.
+  constexpr std::size_t kBlock = 256;
+  const auto walk = [&](int shape, std::vector<backend::KernelOp> ops) {
+    const backend::BlockWalk block = backend::block_walk(shape, false);
+    common::parallel_shards(jobs, shards, [&](int t) {
+      const auto s = static_cast<std::size_t>(t);
+      backend::Word* w = words.data() + slice * s;
+      std::array<bist::MisrDeviation, kBlock> hits;
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < slice; i += kBlock) {
+        mismatches += block(w + i, std::min(kBlock, slice - i), ops, hits.data());
+      }
+      backend::stream_fence();
+      if (mismatches != 0) slice_ok[s] = 0;
     });
   };
-  std::vector<char> slice_ok(static_cast<std::size_t>(jobs), 1);
-  const auto verify = [&](backend::Word pattern) {
-    common::parallel_shards(jobs, jobs, [&](int t) {
-      const backend::Word* w = words.data() + slice * static_cast<std::size_t>(t);
-      backend::Word diff = 0;
-      for (std::size_t i = 0; i < slice; ++i) diff |= w[i] ^ pattern;
-      slice_ok[static_cast<std::size_t>(t)] &= diff == 0 ? 1 : 0;
-    });
+  const auto fill = [&](backend::Word p) { walk(0, {{p, false}}); };
+  const auto verify = [&](backend::Word p) { walk(5, {{p, true}}); };
+  const auto rewrite = [&](backend::Word from, backend::Word to) {
+    walk(1, {{from, true}, {to, false}});
   };
   fill(0);
   RawLoops out;
-  const double gib = static_cast<double>(slice * static_cast<std::size_t>(jobs) *
+  const double gib = static_cast<double>(slice * static_cast<std::size_t>(shards) *
                                          sizeof(backend::Word)) / kGiB;
-  for (int rep = 0; rep < 3; ++rep) {
+  const auto since = [](Clock::time_point t) {
+    return std::chrono::duration<double>(Clock::now() - t).count();
+  };
+  for (int rep = 0; rep < 5; ++rep) {
     const backend::Word pattern = 0x5555'5555'5555'5555ull << (rep & 1);
-    const auto a = Clock::now();
+    // March C's order: a streaming fill, read+write passes, a verify.
+    auto start = Clock::now();
     fill(pattern);
-    const auto b = Clock::now();
+    const double fill_s = since(start);
+    start = Clock::now();
+    rewrite(pattern, ~pattern);
+    rewrite(~pattern, pattern);
+    const double rewrite_s = since(start);
+    start = Clock::now();
     verify(pattern);
-    const auto c = Clock::now();
-    const double fill_s = std::chrono::duration<double>(b - a).count();
-    const double both_s = std::chrono::duration<double>(c - a).count();
+    const double verify_s = since(start);
     out.write_gbps = std::max(out.write_gbps, gib / fill_s);
-    out.rw_gbps = std::max(out.rw_gbps, 2.0 * gib / both_s);
+    out.read_gbps = std::max(out.read_gbps, gib / verify_s);
+    out.rewrite_gbps = std::max(out.rewrite_gbps, 4.0 * gib / rewrite_s);
+    out.rw_gbps = std::max(out.rw_gbps, 2.0 * gib / (fill_s + verify_s));
   }
   for (const char ok : slice_ok) out.verified = out.verified && ok != 0;
   return out;
+}
+
+/// GiB/s the raw loops reach over the engine's own phases: each phase's
+/// bytes at the raw rate of its kind.  A read+write pass overlaps its
+/// write-backs with its reads, so "fill + verify" does not bound it; this
+/// mix does.
+double raw_phase_mix_gbps(const backend::MemtestReport& r,
+                          const RawLoops& raw) {
+  const double rate[3] = {raw.write_gbps, raw.read_gbps, raw.rewrite_gbps};
+  double gib = 0.0;
+  double secs = 0.0;
+  for (const auto& p : r.phases) {
+    if (p.is_pause) continue;
+    gib += phase_gib(p);
+    secs += phase_gib(p) / rate[phase_kind(p)];
+  }
+  return secs > 0.0 ? gib / secs : 0.0;
 }
 
 struct SweepPoint {
@@ -265,22 +319,27 @@ int main() {
   const double engine_gbps =
       static_cast<double>(host_point.reads + host_point.writes) *
       sizeof(backend::Word) / kGiB / host_point.wall_seconds;
-  const double ceiling_frac = raw.rw_gbps > 0.0 ? engine_gbps / raw.rw_gbps : 0.0;
+  const double mix_gbps = raw_phase_mix_gbps(host_point, raw);
+  const double ceiling_frac = mix_gbps > 0.0 ? engine_gbps / mix_gbps : 0.0;
   const std::pair<const char*, double> layers[] = {
       {"engine: March C end to end", engine_gbps},
       {"engine: write-only phases", engine.write_only},
       {"engine: read-only phases", engine.read_only},
       {"engine: read+write phases", engine.mixed},
       {"raw: fill loop", raw.write_gbps},
+      {"raw: verify loop", raw.read_gbps},
+      {"raw: verify + rewrite loop", raw.rewrite_gbps},
       {"raw: fill + verify loop", raw.rw_gbps},
+      {"raw: March C phase mix", mix_gbps},
   };
   std::printf("  Layers, %llu MiB, %d threads:\n",
               static_cast<unsigned long long>(host_point.buffer_bytes >> 20),
               threads);
   for (const auto& [name, gbps] : layers)
     std::printf("    %-30s %8.2f GiB/s\n", name, gbps);
-  std::printf("    %-30s %8.2f\n\n", "engine / fill + verify", ceiling_frac);
-  c.check(raw.verified, "the raw fill + verify loop reads back its pattern");
+  std::printf("    %-30s %8.2f\n\n", "engine / raw phase mix", ceiling_frac);
+  c.check(raw.verified,
+          "the raw verify and rewrite loops read back their patterns");
 
   if (std::FILE* out = std::fopen("BENCH_backend.json", "w")) {
     std::fprintf(out,
@@ -313,12 +372,15 @@ int main() {
                  "\"engine_gbps\": %.2f, \"engine_write_only_gbps\": %.2f, "
                  "\"engine_read_only_gbps\": %.2f, "
                  "\"engine_read_write_gbps\": %.2f, "
-                 "\"raw_write_gbps\": %.2f, \"raw_write_verify_gbps\": %.2f, "
-                 "\"ceiling_frac\": %.3f}\n"
+                 "\"raw_write_gbps\": %.2f, \"raw_verify_gbps\": %.2f, "
+                 "\"raw_rewrite_gbps\": %.2f, "
+                 "\"raw_write_verify_gbps\": %.2f, "
+                 "\"raw_phase_mix_gbps\": %.2f, \"ceiling_frac\": %.3f}\n"
                  "}\n",
                  static_cast<unsigned long long>(host_point.buffer_bytes >> 20),
                  threads, engine_gbps, engine.write_only, engine.read_only,
-                 engine.mixed, raw.write_gbps, raw.rw_gbps, ceiling_frac);
+                 engine.mixed, raw.write_gbps, raw.read_gbps,
+                 raw.rewrite_gbps, raw.rw_gbps, mix_gbps, ceiling_frac);
     std::fclose(out);
     std::printf("wrote BENCH_backend.json\n\n");
   }

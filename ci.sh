@@ -70,6 +70,14 @@ if grep -rn '#include "backend/' src/memsim src/march src/bist src/diag src/repa
   echo "ci.sh: a core layer includes backend/ (drive memsim::Memory instead)" >&2
   exit 1
 fi
+# ISA-specific code (intrinsics, per-function target ISAs) stays in the
+# memtest walks, the one file that picks a tier from the CPU at run time.
+if grep -rlE 'immintrin\.h|__attribute__\(\(target' \
+    src tools bench examples tests perfbench \
+    | grep -vx 'src/backend/memtest_walk\.cpp'; then
+  echo "ci.sh: ISA-specific code outside src/backend/memtest_walk.cpp" >&2
+  exit 1
+fi
 
 echo "== schedule certificates: emit -> re-certify every example =="
 mkdir -p build/certify
@@ -124,12 +132,14 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMBIST_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "${JOBS}" --target test_campaign --target test_soc \
-  --target test_field --target test_serve --target test_backend
+  --target test_field --target test_serve --target test_backend \
+  --target test_misr
 ./build-tsan/tests/test_campaign
 ./build-tsan/tests/test_soc
 ./build-tsan/tests/test_field
 ./build-tsan/tests/test_serve
 ./build-tsan/tests/test_backend
+./build-tsan/tests/test_misr
 
 echo "== asan+ubsan: linter, controllers, fuzz, packed-kernel equivalence, serve =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMBIST_WERROR=ON \
@@ -137,13 +147,15 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMBIST_WERROR=ON \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "${JOBS}" \
   --target test_lint --target test_fuzz --target test_ucode --target test_pfsm \
-  --target test_campaign --target test_backend --target test_serve
+  --target test_campaign --target test_backend --target test_serve \
+  --target test_misr
 ./build-asan/tests/test_lint
 ./build-asan/tests/test_fuzz
 ./build-asan/tests/test_ucode
 ./build-asan/tests/test_pfsm
 ./build-asan/tests/test_campaign
 ./build-asan/tests/test_backend
+./build-asan/tests/test_misr
 ./build-asan/tests/test_serve
 
 if command -v clang-tidy > /dev/null; then

@@ -39,8 +39,9 @@ constexpr std::size_t kBlockWords = 256;
 
 /// One march element under one background, built once per run for the
 /// direct-map walk: background-applied op values, the block fold of the
-/// element's expected reads (the same p reads at every address) and the
-/// SMi shape whose walk runs it (-1: the generic walk).
+/// element's expected reads (the same p reads at every address, its clean
+/// runs up to a shard's block count) and the SMi shape whose walk runs it
+/// (-1: the generic walk).
 struct ElementKernel {
   std::vector<KernelOp> ops;
   std::vector<std::size_t> read_ops;  ///< position in `ops` of each read
@@ -48,8 +49,11 @@ struct ElementKernel {
   int shape = -1;
 };
 
+/// `same_element`: this element's kernel under an earlier background, if
+/// any; its fold's skips are reused (they do not depend on the values).
 ElementKernel make_kernel(const march::MarchElement& el, Word bg, Word mask,
-                          int misr_width) {
+                          int misr_width, std::size_t shard_blocks,
+                          const ElementKernel* same_element) {
   std::vector<KernelOp> ops;
   std::vector<std::size_t> read_ops;
   std::vector<Word> reads;
@@ -62,9 +66,12 @@ ElementKernel make_kernel(const march::MarchElement& el, Word bg, Word mask,
     ops.push_back(KernelOp{value, op.is_read()});
   }
   const int shape = walk_shape(ops);
-  return ElementKernel{std::move(ops), std::move(read_ops),
-                       bist::PeriodicFold{misr_width, std::move(reads),
-                                          kBlockWords},
+  bist::PeriodicFold fold =
+      same_element != nullptr
+          ? same_element->fold.with_period(std::move(reads))
+          : bist::PeriodicFold{misr_width, std::move(reads), kBlockWords,
+                               shard_blocks};
+  return ElementKernel{std::move(ops), std::move(read_ops), std::move(fold),
                        shape};
 }
 
@@ -180,9 +187,12 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
   std::vector<ElementKernel> kernels;
   if (!direct.empty()) {
     kernels.reserve(backgrounds.size() * num_elements);
-    for (const Word bg : backgrounds) {
-      for (const march::MarchElement& el : alg.elements()) {
-        kernels.push_back(make_kernel(el, bg, mask, options.misr_width));
+    for (std::size_t b = 0; b < backgrounds.size(); ++b) {
+      for (std::size_t e = 0; e < num_elements; ++e) {
+        kernels.push_back(make_kernel(alg.elements()[e], backgrounds[b], mask,
+                                      options.misr_width,
+                                      words_per_shard / kBlockWords,
+                                      b > 0 ? &kernels[e] : nullptr));
       }
     }
   }
@@ -215,9 +225,10 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
   };
 
   // Direct-map kernel: walk a block of kBlockWords addresses with the
-  // element's shape walk (memtest_walk.h), then advance the signature once
-  // per block (MISR linearity); only a block with a mismatch is folded
-  // read by read.
+  // element's shape walk (memtest_walk.h).  Consecutive clean full blocks
+  // are counted and their run advances the signature in one fold_clean
+  // (MISR linearity); a block with a mismatch, or a short tail block,
+  // first folds the pending run, then is folded read by read.
   const auto run_direct = [&](ShardState& st, std::size_t base,
                               const march::MarchElement& el,
                               const ElementKernel& kernel) {
@@ -226,6 +237,7 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
     const std::size_t num_ops = kernel.ops.size();
     const BlockWalk walk = block_walk(kernel.shape, descending);
     std::vector<bist::MisrDeviation> hits(per_address * kBlockWords);
+    std::size_t clean_run = 0;
     for (std::size_t first = 0; first < words_per_shard;
          first += kBlockWords) {
       const std::size_t count = std::min(kBlockWords, words_per_shard - first);
@@ -233,6 +245,12 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
           walk(&direct[descending ? base + words_per_shard - 1 - first
                                   : base + first],
                count, kernel.ops, hits.data());
+      if (num_hits == 0 && count == kBlockWords) {
+        ++clean_run;
+        continue;
+      }
+      kernel.fold.fold_clean(st.misr, clean_run);
+      clean_run = 0;
       for (std::size_t h = 0; h < num_hits; ++h) {
         const std::size_t i = first + hits[h].index / per_address;
         const std::size_t k = hits[h].index % per_address;
@@ -244,6 +262,7 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
       }
       kernel.fold.fold(st.misr, count, {hits.data(), num_hits});
     }
+    kernel.fold.fold_clean(st.misr, clean_run);
     stream_fence();  // the SM0 walk streams; see memtest_walk.h
     st.op_index += words_per_shard * num_ops;
     st.run.reads += words_per_shard * per_address;

@@ -90,6 +90,13 @@ MisrSkip::MisrSkip(int width, std::uint64_t steps)
   }
 }
 
+MisrSkip MisrSkip::squared() const {
+  MisrSkip out = *this;
+  out.steps_ = 2 * steps_;
+  out.columns_ = compose(columns_, columns_, width_);
+  return out;
+}
+
 Word MisrSkip::apply(Word state) const noexcept {
   Word out = 0;
   for (int j = 0; j < width_; ++j) {
@@ -99,21 +106,47 @@ Word MisrSkip::apply(Word state) const noexcept {
 }
 
 PeriodicFold::PeriodicFold(int width, std::vector<Word> period,
-                           std::size_t block_repeats)
-    : period_{std::move(period)},
-      block_repeats_{block_repeats},
-      block_skip_{width, block_repeats * period_.size()} {
-  Misr zero{width, 0};
+                           std::size_t block_repeats, std::size_t max_run)
+    : period_{std::move(period)}, block_repeats_{block_repeats} {
+  powers_.push_back({MisrSkip{width, block_repeats_ * period_.size()}});
+  for (std::size_t run = 2; run <= max_run; run *= 2) {
+    powers_.push_back({powers_.back().skip.squared()});
+  }
+  fold_powers();
+}
+
+PeriodicFold PeriodicFold::with_period(std::vector<Word> period) const {
+  assert(period.size() == period_.size());
+  PeriodicFold out = *this;
+  out.period_ = std::move(period);
+  out.fold_powers();
+  return out;
+}
+
+void PeriodicFold::fold_powers() {
+  Misr zero{powers_.front().skip.width(), 0};
   for (std::size_t r = 0; r < block_repeats_; ++r) {
     for (const Word v : period_) zero.absorb(v);
   }
-  block_fold_ = zero.signature();
+  powers_.front().fold = zero.signature();
+  // 2^(k+1) blocks from state 0: 2^k blocks, then 2^k more on top.
+  for (std::size_t k = 1; k < powers_.size(); ++k) {
+    const Power& half = powers_[k - 1];
+    powers_[k].fold = half.skip.apply(half.fold) ^ half.fold;
+  }
+}
+
+void PeriodicFold::fold_clean(Misr& misr, std::size_t blocks) const {
+  assert(blocks < (std::size_t{2} << (powers_.size() - 1)));
+  for (std::size_t k = 0; blocks != 0; ++k, blocks >>= 1) {
+    if (blocks & 1) misr.skip(powers_[k].skip, powers_[k].fold);
+  }
 }
 
 void PeriodicFold::fold(Misr& misr, std::size_t repeats,
                         std::span<const MisrDeviation> deviations) const {
   if (repeats == block_repeats_ && deviations.empty()) {
-    misr.skip(block_skip_, block_fold_);
+    fold_clean(misr, 1);
     return;
   }
   auto next = deviations.begin();

@@ -76,6 +76,8 @@ class MisrSkip {
 
   /// A^steps * state.
   [[nodiscard]] Word apply(Word state) const noexcept;
+  /// The skip over twice as many steps, A^(2*steps), by one squaring.
+  [[nodiscard]] MisrSkip squared() const;
   [[nodiscard]] int width() const noexcept { return width_; }
   [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
 
@@ -94,30 +96,49 @@ struct MisrDeviation {
 
 /// Block-wise fold of a periodic expected-read stream: `period` repeated,
 /// cut into blocks of `block_repeats` periods.  Every full block expects
-/// the same reads, so one that read back exactly what was expected
-/// advances the Misr with a single skip; a block with deviations, or a
-/// shorter tail block, is folded serially with the actual values in
-/// place of the expected ones.  Either way the result is bit-identical to
-/// absorbing every actual read in order.
+/// the same reads, so a run of m full blocks that read back exactly what
+/// was expected (clean blocks) advances the Misr with one skip per set bit
+/// of m; a block with deviations, or a shorter tail block, is folded
+/// serially with the actual values in place of the expected ones.  Either
+/// way the result is bit-identical to absorbing every actual read in order.
 class PeriodicFold {
  public:
-  PeriodicFold(int width, std::vector<Word> period,
-               std::size_t block_repeats);
+  /// `max_run` is the longest run fold_clean() accepts (a run of one is
+  /// always accepted); it sizes the table of powers, which is built by
+  /// squaring.
+  PeriodicFold(int width, std::vector<Word> period, std::size_t block_repeats,
+               std::size_t max_run = 1);
 
   /// Folds one block of `repeats` (<= block_repeats) periods.
   /// `deviations` are sorted by index, each below repeats * period size.
   void fold(Misr& misr, std::size_t repeats,
             std::span<const MisrDeviation> deviations) const;
+  /// Folds `blocks` (<= max_run) consecutive clean full blocks: the same
+  /// as `blocks` calls of fold(misr, block_repeats, {}), in at most
+  /// ceil(log2(max_run + 1)) skips.
+  void fold_clean(Misr& misr, std::size_t blocks) const;
+  /// The fold of another period of the same length.  The skips depend on
+  /// the width and the reads per block only, so it copies them and
+  /// computes only the new folds.
+  [[nodiscard]] PeriodicFold with_period(std::vector<Word> period) const;
 
   [[nodiscard]] const std::vector<Word>& period() const noexcept {
     return period_;
   }
 
  private:
+  /// The skip over 2^k full blocks and their fold from state 0.
+  struct Power {
+    MisrSkip skip;
+    Word fold = 0;
+  };
+
+  /// Sets every Power's fold from period_ and the skips.
+  void fold_powers();
+
   std::vector<Word> period_;
   std::size_t block_repeats_;
-  MisrSkip block_skip_;
-  Word block_fold_ = 0;  ///< fold of one full block from state 0
+  std::vector<Power> powers_;  ///< entry k covers 2^k blocks
 };
 
 /// Golden signature for `alg` over `geometry`: the fold of all expected

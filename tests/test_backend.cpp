@@ -22,7 +22,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,11 @@
 #include "netlist/tech_library.h"
 #include "soc/chip.h"
 #include "soc/scheduler.h"
+
+namespace pmbist::backend {
+// Tier names, not enum bytes, in the parameterized tests' ctest names.
+void PrintTo(WalkTier tier, std::ostream* os) { *os << to_string(tier); }
+}  // namespace pmbist::backend
 
 namespace {
 
@@ -406,68 +413,119 @@ TEST(MemtestWalkTest, EveryCannedComponentHasItsShapeWalk) {
             -1);
 }
 
-TEST(MemtestWalkTest, ShapeWalksMatchTheGenericWalk) {
-  // Each SMi walk against the generic walk, both directions, on cell
-  // contents that match the leading reads, that hold one or a few bad
-  // cells, or that are random; with op values that follow d/~d under a
-  // background and with arbitrary ones (post-write reads that mismatch).
-  // Hits and the final memory, guard words included, must be identical.
+/// Index of the first word of `cells` that starts a 64-byte line.
+std::size_t first_line_word(const std::vector<backend::Word>& cells) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(cells.data());
+  return (64 - addr % 64) % 64 / sizeof(backend::Word);
+}
+
+/// Runs every SMi walk of `tier` against the generic walk, both
+/// directions, every block length 1..256, each block starting at a random
+/// word of a 64-byte line: on cell contents that match the leading reads,
+/// that hold one or a few bad cells, or that are random; with op values
+/// that follow d/~d under a background and with arbitrary ones (post-write
+/// reads that mismatch).  Hits and the final memory, guard words included,
+/// must be identical.
+void expect_shape_walks_match_generic(backend::WalkTier tier) {
   constexpr std::size_t kGuard = 8;
+  constexpr std::size_t kLineWords = 64 / sizeof(backend::Word);
+  constexpr int kTrials = 6;
   std::mt19937_64 rng{0x5A11'0ABCu};
   const auto backgrounds = march::standard_backgrounds(64);
+  std::vector<backend::Word> cells;
+  std::vector<backend::Word> generic_cells;
+  std::vector<backend::Word> shaped_cells;
   int walks = 0;
   for (int shape = 0; shape < backend::kNumWalkShapes; ++shape) {
     const auto& comp = mbist_pfsm::component_set()[static_cast<std::size_t>(shape)];
     for (const bool descending : {false, true}) {
-      for (const std::size_t count : {std::size_t{1}, std::size_t{7},
-                                      std::size_t{64}, std::size_t{200},
-                                      std::size_t{256}}) {
-        for (int trial = 0; trial < 24; ++trial) {
-          SCOPED_TRACE(::testing::Message()
-                       << "SM" << shape << (descending ? " down" : " up")
-                       << " count " << count << " trial " << trial);
+      const backend::BlockWalk shaped = backend::block_walk(shape, descending, tier);
+      for (std::size_t count = 1; count <= 256; ++count) {
+        for (int trial = 0; trial < kTrials; ++trial) {
           const backend::Word bg = backgrounds[rng() % backgrounds.size()];
           auto ops = kernel_ops(mbist_pfsm::realize(shape, rng() & 1), bg);
           if (trial % 4 == 3) {
             for (auto& op : ops) op.value = rng() % 3 == 0 ? rng() : op.value;
           }
+          ASSERT_EQ(backend::walk_shape(ops), comp.id);
           const backend::Word lead =
               ops.front().read ? ops.front().value : rng();
-          std::vector<backend::Word> cells(count + 2 * kGuard);
-          for (std::size_t i = 0; i < cells.size(); ++i) {
-            cells[i] = trial % 3 == 2 ? rng() : lead;
-          }
+          cells.assign(count + 2 * kGuard + 2 * kLineWords, 0);
+          // The walk's lowest cell sits `offset` words into a line.
+          const std::size_t offset = rng() % kLineWords;
+          const std::size_t lowest = first_line_word(cells) + kGuard + offset;
+          for (auto& cell : cells) cell = trial % 3 == 2 ? rng() : lead;
           if (trial % 3 == 1) {
             for (int bad = 0; bad < 1 + trial % 4; ++bad) {
-              cells[kGuard + rng() % count] ^= backend::Word{1} << (rng() % 64);
+              cells[lowest + rng() % count] ^= backend::Word{1} << (rng() % 64);
             }
           }
-          auto generic_cells = cells;
-          auto shaped_cells = cells;
+          generic_cells = cells;
+          shaped_cells = cells;
           const std::size_t reads = static_cast<std::size_t>(std::count_if(
               ops.begin(), ops.end(), [](const auto& op) { return op.read; }));
           std::vector<bist::MisrDeviation> generic_hits(reads * count + 1);
           std::vector<bist::MisrDeviation> shaped_hits(reads * count + 1);
-          const std::size_t start = descending ? kGuard + count - 1 : kGuard;
+          const std::size_t start = descending ? lowest + count - 1 : lowest;
           const std::size_t generic_n = backend::block_walk(-1, descending)(
               &generic_cells[start], count, ops, generic_hits.data());
-          ASSERT_EQ(backend::walk_shape(ops), comp.id);
-          const std::size_t shaped_n = backend::block_walk(shape, descending)(
-              &shaped_cells[start], count, ops, shaped_hits.data());
+          const std::size_t shaped_n =
+              shaped(&shaped_cells[start], count, ops, shaped_hits.data());
           backend::stream_fence();
-          ASSERT_EQ(shaped_n, generic_n);
-          for (std::size_t h = 0; h < generic_n; ++h) {
-            EXPECT_EQ(shaped_hits[h].index, generic_hits[h].index);
-            EXPECT_EQ(shaped_hits[h].actual, generic_hits[h].actual);
-          }
-          EXPECT_EQ(shaped_cells, generic_cells);
+          const bool same =
+              shaped_n == generic_n && shaped_cells == generic_cells &&
+              std::equal(shaped_hits.begin(),
+                         shaped_hits.begin() + static_cast<std::ptrdiff_t>(generic_n),
+                         generic_hits.begin(), [](const auto& a, const auto& b) {
+                           return a.index == b.index && a.actual == b.actual;
+                         });
+          ASSERT_TRUE(same) << "SM" << shape << (descending ? " down" : " up")
+                            << " count " << count << " offset " << offset
+                            << " trial " << trial << ": " << shaped_n
+                            << " hits, generic " << generic_n;
           ++walks;
         }
       }
     }
   }
-  EXPECT_EQ(walks, 8 * 2 * 5 * 24);
+  EXPECT_EQ(walks, 8 * 2 * 256 * kTrials);
 }
+
+TEST(MemtestWalkTest, ShapeWalksMatchTheGenericWalk) {
+  // The walks block_walk hands the kernel are the best supported tier's.
+  const backend::WalkTier best = backend::best_walk_tier();
+  EXPECT_TRUE(backend::walk_tier_supported(best));
+  for (const backend::WalkTier tier : backend::kWalkTiers) {
+    if (backend::walk_tier_supported(tier)) {
+      EXPECT_GE(static_cast<int>(best), static_cast<int>(tier));
+    }
+  }
+  for (int shape = -1; shape < backend::kNumWalkShapes; ++shape) {
+    for (const bool descending : {false, true}) {
+      EXPECT_EQ(backend::block_walk(shape, descending),
+                backend::block_walk(shape, descending, best));
+    }
+  }
+  expect_shape_walks_match_generic(best);
+}
+
+class MemtestWalkTierTest : public ::testing::TestWithParam<backend::WalkTier> {};
+
+TEST_P(MemtestWalkTierTest, ShapeWalksMatchTheGenericWalk) {
+  const backend::WalkTier tier = GetParam();
+  if (!backend::walk_tier_supported(tier)) {
+    EXPECT_THROW((void)backend::block_walk(0, false, tier), std::invalid_argument);
+    GTEST_SKIP() << "this CPU lacks the " << backend::to_string(tier)
+                 << " walk tier";
+  }
+  expect_shape_walks_match_generic(tier);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, MemtestWalkTierTest, ::testing::ValuesIn(backend::kWalkTiers),
+    [](const ::testing::TestParamInfo<backend::WalkTier>& info) {
+      return std::string{backend::to_string(info.param)};
+    });
 
 TEST(MemtestKernelTest, ShapeWalksMatchSimWithMismatchesInjectionAndCaps) {
   // Every SMi as an element after a w0 sweep, in both orders, under all
@@ -514,6 +572,40 @@ TEST(MemtestKernelTest, ShapeWalksMatchSimWithMismatchesInjectionAndCaps) {
         EXPECT_TRUE(injected.injected);
         EXPECT_GT(injected.mismatches, 0u);
       }
+    }
+  }
+}
+
+TEST(MemtestKernelTest, CleanRunsAroundADirtyBlockMatchSim) {
+  // Shards of 8, 16 and 32 full blocks (16 KiB: 1 shard; 64 KiB: 2; 1 MiB:
+  // 16).  Injection at words_per_shard / 2 dirties the middle block of
+  // shard 0, so its first read-led element folds a clean run, the dirty
+  // block read by read, then another clean run (lengths 4 and 3 on the
+  // smallest size, both orders), while every other shard folds one run.
+  for (const std::uint64_t size : {16u << 10, 64u << 10, 1u << 20}) {
+    SCOPED_TRACE(size);
+    const auto geometry = backend::memtest_geometry(size);
+    const std::size_t words_per_shard =
+        geometry.num_words() /
+        static_cast<std::size_t>(backend::memtest_shards(geometry));
+    ASSERT_GE(words_per_shard / 256, 8u);
+    for (const auto& alg : march::all_algorithms()) {
+      if (size > (64u << 10) && alg.name() != "March C") continue;
+      const bool read_led = std::any_of(
+          alg.elements().begin(), alg.elements().end(), [](const auto& el) {
+            return !el.is_pause && !el.ops.empty() && el.ops.front().is_read();
+          });
+      if (!read_led) continue;
+      SCOPED_TRACE(alg.name());
+      backend::MemtestOptions opts;
+      opts.size_bytes = size;
+      opts.backgrounds = 3;
+      EXPECT_TRUE(expect_kernel_matches_sim(alg, opts, {1, 4}).passed());
+      opts.inject_error = true;
+      const auto injected = expect_kernel_matches_sim(alg, opts, {1, 4});
+      EXPECT_FALSE(injected.passed());
+      ASSERT_FALSE(injected.failures.empty());
+      EXPECT_EQ(injected.failures.front().op.addr, words_per_shard / 2);
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 #include <set>
 #include <vector>
@@ -169,6 +170,138 @@ TEST(MisrSkip, PeriodicBlockFoldEqualsSerialMisr) {
             << static_cast<int>(pattern);
         EXPECT_EQ(blocked.absorbed(), serial.absorbed());
       }
+    }
+  }
+}
+
+constexpr int kRunWidths[] = {1, 7, 8, 16, 32, 64};
+
+TEST(MisrSkip, CleanRunFoldEqualsPerBlockFoldsAndSerialAbsorbs) {
+  // One fold_clean over m clean blocks, m block folds and the serial
+  // absorbs agree, with the table sized to m and to the largest m.
+  constexpr std::size_t kBlock = 4;  // periods per block
+  std::mt19937_64 rng{0x5EED'0003u};
+  for (const int w : kRunWidths) {
+    for (const std::size_t m : {0u, 1u, 2u, 3u, 255u, 256u, 8191u, 8192u}) {
+      SCOPED_TRACE(::testing::Message() << "width " << w << " m " << m);
+      std::vector<memsim::Word> period(1 + rng() % 3);
+      for (auto& v : period) v = rng();
+      const memsim::Word seed = rng();
+      Misr serial{w, seed};
+      Misr per_block{w, seed};
+      const bist::PeriodicFold fold{w, period, kBlock};
+      for (std::size_t b = 0; b < m; ++b) {
+        for (std::size_t r = 0; r < kBlock; ++r) {
+          for (const auto v : period) serial.absorb(v);
+        }
+        fold.fold(per_block, kBlock, {});
+      }
+      for (const std::size_t max_run : {m, std::size_t{8192}}) {
+        Misr run{w, seed};
+        bist::PeriodicFold{w, period, kBlock, max_run}.fold_clean(run, m);
+        EXPECT_EQ(run.signature(), serial.signature()) << max_run;
+        EXPECT_EQ(run.absorbed(), serial.absorbed()) << max_run;
+      }
+      EXPECT_EQ(per_block.signature(), serial.signature());
+      EXPECT_EQ(per_block.absorbed(), serial.absorbed());
+    }
+  }
+}
+
+TEST(MisrSkip, FoldWithAnotherPeriodEqualsAFreshFold) {
+  // with_period keeps the skips and recomputes the folds: clean runs,
+  // clean blocks and dirty blocks fold as with a fold built from scratch.
+  std::mt19937_64 rng{0x5EED'0005u};
+  for (const int w : kRunWidths) {
+    for (std::size_t p = 0; p <= 3; ++p) {
+      std::vector<memsim::Word> first(p), second(p);
+      for (auto& v : first) v = rng();
+      for (auto& v : second) v = rng();
+      const bist::PeriodicFold reused =
+          bist::PeriodicFold{w, first, 8, 1000}.with_period(second);
+      const bist::PeriodicFold fresh{w, second, 8, 1000};
+      const memsim::Word seed = rng();
+      Misr a{w, seed}, b{w, seed};
+      for (const std::size_t m : {1u, 5u, 1000u}) {
+        reused.fold_clean(a, m);
+        fresh.fold_clean(b, m);
+      }
+      const std::vector<bist::MisrDeviation> dirty{{0, rng()}};
+      reused.fold(a, 8, p > 0 ? dirty : std::vector<bist::MisrDeviation>{});
+      fresh.fold(b, 8, p > 0 ? dirty : std::vector<bist::MisrDeviation>{});
+      EXPECT_EQ(a.signature(), b.signature()) << "width " << w << " period " << p;
+      EXPECT_EQ(a.absorbed(), b.absorbed());
+    }
+  }
+}
+
+TEST(MisrSkip, CleanRunsBetweenDirtyBlocksFoldLikeSerialMisr) {
+  // The memtest kernel's fold order: a run of clean full blocks is folded
+  // in one fold_clean when a dirty block, a short tail block or the end
+  // arrives; dirty and tail blocks are folded read by read.  Random
+  // interleavings, some with a dirty first or last block and a tail.
+  constexpr std::size_t kBlock = 8;  // periods per block
+  std::mt19937_64 rng{0x5EED'0004u};
+  for (const int w : kRunWidths) {
+    for (int iteration = 0; iteration < 40; ++iteration) {
+      SCOPED_TRACE(::testing::Message() << "width " << w << " iteration "
+                                        << iteration);
+      std::vector<memsim::Word> period(1 + rng() % 3);
+      for (auto& v : period) v = rng();
+      const std::size_t p = period.size();
+      const std::size_t blocks = 1 + rng() % 600;
+      const double clean_share = std::array{0.5, 0.9, 0.99, 1.0}[iteration % 4];
+      std::vector<bool> dirty(blocks);
+      for (std::size_t b = 0; b < blocks; ++b) {
+        dirty[b] = std::uniform_real_distribution<double>{}(rng) >= clean_share;
+      }
+      if (iteration % 5 == 1) dirty.front() = true;
+      if (iteration % 5 == 2) dirty.back() = true;
+      const std::size_t tail = iteration % 3 == 0 ? 1 + rng() % (kBlock - 1) : 0;
+
+      // Actual reads: expected everywhere, one to three flips per dirty
+      // block (possibly the same read twice, so a dirty block can read
+      // back clean), any flips in the tail.
+      std::vector<memsim::Word> actual;
+      for (std::size_t r = 0; r < blocks * kBlock + tail; ++r) {
+        actual.insert(actual.end(), period.begin(), period.end());
+      }
+      for (std::size_t b = 0; b < blocks; ++b) {
+        if (!dirty[b]) continue;
+        for (std::uint64_t f = 0; f < 1 + rng() % 3; ++f) {
+          actual[b * kBlock * p + rng() % (kBlock * p)] ^= rng() | 1;
+        }
+      }
+      if (tail > 0 && rng() % 2 == 0) actual.back() ^= 1;
+
+      const memsim::Word seed = rng();
+      Misr serial{w, seed};
+      for (const auto v : actual) serial.absorb(v);
+
+      const bist::PeriodicFold fold{w, period, kBlock, blocks};
+      Misr kernel{w, seed};
+      std::size_t clean_run = 0;
+      for (std::size_t first = 0; first < blocks * kBlock + tail;
+           first += kBlock) {
+        const std::size_t repeats = std::min(kBlock, blocks * kBlock + tail - first);
+        std::vector<bist::MisrDeviation> deviations;
+        for (std::size_t i = 0; i < repeats * p; ++i) {
+          const memsim::Word v = actual[first * p + i];
+          if (v != period[i % p]) {
+            deviations.push_back({static_cast<std::uint32_t>(i), v});
+          }
+        }
+        if (deviations.empty() && repeats == kBlock) {
+          ++clean_run;
+          continue;
+        }
+        fold.fold_clean(kernel, clean_run);
+        clean_run = 0;
+        fold.fold(kernel, repeats, deviations);
+      }
+      fold.fold_clean(kernel, clean_run);
+      EXPECT_EQ(kernel.signature(), serial.signature());
+      EXPECT_EQ(kernel.absorbed(), serial.absorbed());
     }
   }
 }
