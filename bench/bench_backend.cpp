@@ -19,7 +19,10 @@
 // mapped buffer of the same size on the same number of threads, and their
 // mix in the engine's own phase bytes (the memory-bandwidth ceiling).  The
 // raw loops are the engine's own block walks (backend/memtest_walk.h) with
-// no march, op count or MISR around them.
+// no march, op count or MISR around them: the table shows what the march
+// and fold layers cost, but a slower walk slows the engine and the raw
+// rows together, so it cannot show that.  Plain C++ loops are no ceiling
+// for the AVX-512 walks (docs/BACKEND.md, "Benchmarks").
 //
 // Emits BENCH_backend.json with the gate verdicts, a sim-vs-hostram
 // throughput table (sustained read/write GiB/s per configuration) and the
@@ -127,7 +130,8 @@ PhaseRates phase_rates(const backend::MemtestReport& r) {
 /// run on `jobs` workers of its pool: a streaming fill (SM0 `w`), a vector
 /// verify (SM5 `r`), and a verify that rewrites each 256-word block once
 /// it is checked (SM1 `rw`).  Best of five after a first-touch fill, so
-/// page faults stay out of the figures.
+/// page faults stay out of the figures.  These bound the walks' march and
+/// fold layers, not the walks themselves.
 struct RawLoops {
   double write_gbps = 0.0;    ///< streaming fill
   double read_gbps = 0.0;     ///< vector verify

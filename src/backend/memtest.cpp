@@ -49,11 +49,8 @@ struct ElementKernel {
   int shape = -1;
 };
 
-/// `same_element`: this element's kernel under an earlier background, if
-/// any; its fold's skips are reused (they do not depend on the values).
 ElementKernel make_kernel(const march::MarchElement& el, Word bg, Word mask,
-                          int misr_width, std::size_t shard_blocks,
-                          const ElementKernel* same_element) {
+                          int misr_width, std::size_t shard_blocks) {
   std::vector<KernelOp> ops;
   std::vector<std::size_t> read_ops;
   std::vector<Word> reads;
@@ -66,12 +63,9 @@ ElementKernel make_kernel(const march::MarchElement& el, Word bg, Word mask,
     ops.push_back(KernelOp{value, op.is_read()});
   }
   const int shape = walk_shape(ops);
-  bist::PeriodicFold fold =
-      same_element != nullptr
-          ? same_element->fold.with_period(std::move(reads))
-          : bist::PeriodicFold{misr_width, std::move(reads), kBlockWords,
-                               shard_blocks};
-  return ElementKernel{std::move(ops), std::move(read_ops), std::move(fold),
+  return ElementKernel{std::move(ops), std::move(read_ops),
+                       bist::PeriodicFold{misr_width, std::move(reads),
+                                          kBlockWords, shard_blocks},
                        shape};
 }
 
@@ -187,12 +181,10 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
   std::vector<ElementKernel> kernels;
   if (!direct.empty()) {
     kernels.reserve(backgrounds.size() * num_elements);
-    for (std::size_t b = 0; b < backgrounds.size(); ++b) {
-      for (std::size_t e = 0; e < num_elements; ++e) {
-        kernels.push_back(make_kernel(alg.elements()[e], backgrounds[b], mask,
-                                      options.misr_width,
-                                      words_per_shard / kBlockWords,
-                                      b > 0 ? &kernels[e] : nullptr));
+    for (const Word bg : backgrounds) {
+      for (const march::MarchElement& el : alg.elements()) {
+        kernels.push_back(make_kernel(el, bg, mask, options.misr_width,
+                                      words_per_shard / kBlockWords));
       }
     }
   }

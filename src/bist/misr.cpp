@@ -112,19 +112,7 @@ PeriodicFold::PeriodicFold(int width, std::vector<Word> period,
   for (std::size_t run = 2; run <= max_run; run *= 2) {
     powers_.push_back({powers_.back().skip.squared()});
   }
-  fold_powers();
-}
-
-PeriodicFold PeriodicFold::with_period(std::vector<Word> period) const {
-  assert(period.size() == period_.size());
-  PeriodicFold out = *this;
-  out.period_ = std::move(period);
-  out.fold_powers();
-  return out;
-}
-
-void PeriodicFold::fold_powers() {
-  Misr zero{powers_.front().skip.width(), 0};
+  Misr zero{width, 0};
   for (std::size_t r = 0; r < block_repeats_; ++r) {
     for (const Word v : period_) zero.absorb(v);
   }

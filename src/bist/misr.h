@@ -117,10 +117,6 @@ class PeriodicFold {
   /// as `blocks` calls of fold(misr, block_repeats, {}), in at most
   /// ceil(log2(max_run + 1)) skips.
   void fold_clean(Misr& misr, std::size_t blocks) const;
-  /// The fold of another period of the same length.  The skips depend on
-  /// the width and the reads per block only, so it copies them and
-  /// computes only the new folds.
-  [[nodiscard]] PeriodicFold with_period(std::vector<Word> period) const;
 
   [[nodiscard]] const std::vector<Word>& period() const noexcept {
     return period_;
@@ -132,9 +128,6 @@ class PeriodicFold {
     MisrSkip skip;
     Word fold = 0;
   };
-
-  /// Sets every Power's fold from period_ and the skips.
-  void fold_powers();
 
   std::vector<Word> period_;
   std::size_t block_repeats_;

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <ostream>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -414,7 +415,7 @@ TEST(MemtestWalkTest, EveryCannedComponentHasItsShapeWalk) {
 }
 
 /// Index of the first word of `cells` that starts a 64-byte line.
-std::size_t first_line_word(const std::vector<backend::Word>& cells) {
+std::size_t first_line_word(std::span<const backend::Word> cells) {
   const auto addr = reinterpret_cast<std::uintptr_t>(cells.data());
   return (64 - addr % 64) % 64 / sizeof(backend::Word);
 }
@@ -422,17 +423,17 @@ std::size_t first_line_word(const std::vector<backend::Word>& cells) {
 /// Runs every SMi walk of `tier` against the generic walk, both
 /// directions, every block length 1..256, each block starting at a random
 /// word of a 64-byte line: on cell contents that match the leading reads,
-/// that hold one or a few bad cells, or that are random; with op values
+/// that hold one to four bad cells, or that are random; with op values
 /// that follow d/~d under a background and with arbitrary ones (post-write
-/// reads that mismatch).  Hits and the final memory, guard words included,
-/// must be identical.
+/// reads that mismatch).  The 12 trials per length cross every contents
+/// kind (trial % 3) with both kinds of op values (trial % 4 == 3).  Hits
+/// and the final memory, guard words included, must be identical.
 void expect_shape_walks_match_generic(backend::WalkTier tier) {
   constexpr std::size_t kGuard = 8;
   constexpr std::size_t kLineWords = 64 / sizeof(backend::Word);
-  constexpr int kTrials = 6;
+  constexpr int kTrials = 12;
   std::mt19937_64 rng{0x5A11'0ABCu};
   const auto backgrounds = march::standard_backgrounds(64);
-  std::vector<backend::Word> cells;
   std::vector<backend::Word> generic_cells;
   std::vector<backend::Word> shaped_cells;
   int walks = 0;
@@ -450,18 +451,19 @@ void expect_shape_walks_match_generic(backend::WalkTier tier) {
           ASSERT_EQ(backend::walk_shape(ops), comp.id);
           const backend::Word lead =
               ops.front().read ? ops.front().value : rng();
-          cells.assign(count + 2 * kGuard + 2 * kLineWords, 0);
-          // The walk's lowest cell sits `offset` words into a line.
+          shaped_cells.assign(count + 2 * kGuard + 2 * kLineWords, 0);
+          // The shape walk's lowest cell sits `offset` words into a line.
           const std::size_t offset = rng() % kLineWords;
-          const std::size_t lowest = first_line_word(cells) + kGuard + offset;
-          for (auto& cell : cells) cell = trial % 3 == 2 ? rng() : lead;
+          const std::size_t lowest =
+              first_line_word(shaped_cells) + kGuard + offset;
+          for (auto& cell : shaped_cells) cell = trial % 3 == 2 ? rng() : lead;
           if (trial % 3 == 1) {
             for (int bad = 0; bad < 1 + trial % 4; ++bad) {
-              cells[lowest + rng() % count] ^= backend::Word{1} << (rng() % 64);
+              shaped_cells[lowest + rng() % count] ^= backend::Word{1}
+                                                      << (rng() % 64);
             }
           }
-          generic_cells = cells;
-          shaped_cells = cells;
+          generic_cells = shaped_cells;
           const std::size_t reads = static_cast<std::size_t>(std::count_if(
               ops.begin(), ops.end(), [](const auto& op) { return op.read; }));
           std::vector<bist::MisrDeviation> generic_hits(reads * count + 1);
@@ -492,7 +494,8 @@ void expect_shape_walks_match_generic(backend::WalkTier tier) {
 }
 
 TEST(MemtestWalkTest, ShapeWalksMatchTheGenericWalk) {
-  // The walks block_walk hands the kernel are the best supported tier's.
+  // The walks block_walk hands the kernel are the best supported tier's;
+  // Tiers/MemtestWalkTierTest runs each tier against the generic walk.
   const backend::WalkTier best = backend::best_walk_tier();
   EXPECT_TRUE(backend::walk_tier_supported(best));
   for (const backend::WalkTier tier : backend::kWalkTiers) {
@@ -506,7 +509,6 @@ TEST(MemtestWalkTest, ShapeWalksMatchTheGenericWalk) {
                 backend::block_walk(shape, descending, best));
     }
   }
-  expect_shape_walks_match_generic(best);
 }
 
 class MemtestWalkTierTest : public ::testing::TestWithParam<backend::WalkTier> {};

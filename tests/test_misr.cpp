@@ -208,33 +208,6 @@ TEST(MisrSkip, CleanRunFoldEqualsPerBlockFoldsAndSerialAbsorbs) {
   }
 }
 
-TEST(MisrSkip, FoldWithAnotherPeriodEqualsAFreshFold) {
-  // with_period keeps the skips and recomputes the folds: clean runs,
-  // clean blocks and dirty blocks fold as with a fold built from scratch.
-  std::mt19937_64 rng{0x5EED'0005u};
-  for (const int w : kRunWidths) {
-    for (std::size_t p = 0; p <= 3; ++p) {
-      std::vector<memsim::Word> first(p), second(p);
-      for (auto& v : first) v = rng();
-      for (auto& v : second) v = rng();
-      const bist::PeriodicFold reused =
-          bist::PeriodicFold{w, first, 8, 1000}.with_period(second);
-      const bist::PeriodicFold fresh{w, second, 8, 1000};
-      const memsim::Word seed = rng();
-      Misr a{w, seed}, b{w, seed};
-      for (const std::size_t m : {1u, 5u, 1000u}) {
-        reused.fold_clean(a, m);
-        fresh.fold_clean(b, m);
-      }
-      const std::vector<bist::MisrDeviation> dirty{{0, rng()}};
-      reused.fold(a, 8, p > 0 ? dirty : std::vector<bist::MisrDeviation>{});
-      fresh.fold(b, 8, p > 0 ? dirty : std::vector<bist::MisrDeviation>{});
-      EXPECT_EQ(a.signature(), b.signature()) << "width " << w << " period " << p;
-      EXPECT_EQ(a.absorbed(), b.absorbed());
-    }
-  }
-}
-
 TEST(MisrSkip, CleanRunsBetweenDirtyBlocksFoldLikeSerialMisr) {
   // The memtest kernel's fold order: a run of clean full blocks is folded
   // in one fold_clean when a dirty block, a short tail block or the end
